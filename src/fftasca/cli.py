@@ -48,7 +48,7 @@ from .glm import (
     zeros_to_missing,
 )
 from .linalg import mean_center_columns
-from .sca import default_components, effect_to_time, loadings_to_time, real_scores, sca_fit
+from .sca import effect_to_time, loadings_to_time, real_scores, sca_fit
 from .spectral import transform_rows
 from .synth import SynthConfig, generate, jitter_experiment
 
@@ -191,8 +191,9 @@ def _masked_center(x, mask):
 def _emit_term_artifacts(args, out_dir, term, decomp, dmatrix, spec, ids, source_len):
     effect = decomp.effect(term)
     cap = decomp.dof[term]
-    n_comp = args.components or default_components(effect, cap=max(cap, 1))
-    model = sca_fit(effect, decomp.residuals, n_comp, term=term)
+    model = sca_fit(effect, decomp.residuals, args.components or None, term=term,
+                    cap=max(cap, 1))
+    n_comp = model.n_components
     stem = _term_filename(term)
 
     scores = real_scores(model)

@@ -14,17 +14,29 @@ Ties within 1e-12 relative count toward the numerator.  When the requested
 permutation count covers all ``n! - 1`` non-identity permutations, the
 engine enumerates them exactly instead of sampling.
 
+Permuted F-ratios are not refitted one by one.  Every sum of squares is a
+quadratic form ``Re Tr(X^H H X)`` with a real symmetric N x N matrix ``H``
+(``A^T A`` with ``A = D_t pinv(D)_t`` for a term, the hat matrix for the
+fitted part), so under a row permutation ``P`` it equals
+``Tr(H P K P^T)`` with the kernel ``K = Re(X X^H)``, built once: the
+distance-matrix form of PERMANOVA (McArdle & Anderson 2001).  Each
+permutation then costs O(N^2) per term whatever the signal length.  The
+kernel and a refit agree to rounding, not bit for bit, so a permutation
+whose kernel F lies within rounding reach of the nominal F (or whose
+kernel residual is not clearly positive) is re-decided by a direct refit;
+the counts, and hence the p-values, are those of refitting every
+permutation.  The nominal row always comes from the direct fit.
+
 Missing values in peak tables are handled by permutational cell-mean
 replacement: every missing entry is imputed with the mean of the observed
 entries that currently share its design cell, and the imputation is redone
 inside every permutation iteration because the mask travels with the data
-rows while the design stays fixed.
+rows while the design stays fixed.  Those permutations are refitted
+directly; an all-false mask takes the kernel path.
 """
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +66,13 @@ __all__ = [
 
 # relative window within which two F values count as tied
 F_TIE_REL = 1e-12
+
+# relative error allowed for sums of squares read off the kernel; a kernel
+# F this close to the nominal F is re-decided by a direct refit
+KERNEL_TIE_REL = 1e-9
+
+# bytes of gathered kernel per chunk of permutations
+_KERNEL_CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -261,17 +280,62 @@ def _gram_ssq(theta, gram):
     return float(val.real)
 
 
-def _worker_count():
-    raw = os.environ.get("FFTASCA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _total_ssq(x):
+    """``ssq(x)`` without its validation, for data validated at entry."""
+    return float(np.einsum("ij,ij->", x, x.conj()).real)
 
 
 def _count_at_or_above(f_perm, f_nominal):
     tie = F_TIE_REL * np.maximum(np.abs(f_perm), abs(f_nominal))
     return int(np.count_nonzero(f_perm - f_nominal >= -tie))
+
+
+def _kernel_f_ratios(x, dmatrix, proj, tested, nu2, perms):
+    """F-ratio of every tested term under every permutation, read off the
+    N x N kernel ``K = Re(X X^H)`` instead of refitting.
+
+    A sum of squares is ``Tr(H K[p][:, p])`` under a row permutation ``p``,
+    with ``H = A^T A`` for ``A = D_t pinv(D)_t`` (a term) or ``A = D
+    pinv(D)`` (the fitted part), so every permutation costs one N x N
+    gather and one product with the stacked ``H``, whatever the signal
+    length.  Permutations go through in chunks of bounded memory.
+    Returns the (n_perms, n_tested) F-ratios, the residual sums of squares
+    and the total sum of squares ``Tr(K)``.
+    """
+    n = x.shape[0]
+    d, spans, proj = dmatrix.matrix, dmatrix.column_spans, proj.real
+    blocks = [d[:, spans[t]] @ proj[spans[t]] for t in tested] + [d @ proj]
+    hats = np.stack([a.T @ a for a in blocks]).reshape(len(blocks), n * n)
+    kernel = x.real @ x.real.T + x.imag @ x.imag.T
+    ss = np.empty((perms.shape[0], len(blocks)))
+    step = max(1, _KERNEL_CHUNK_BYTES // (kernel.itemsize * n * n))
+    for start in range(0, perms.shape[0], step):
+        p = perms[start:start + step]
+        gathered = kernel[p[:, :, None], p[:, None, :]].reshape(p.shape[0], n * n)
+        ss[start:start + step] = gathered @ hats.T
+    total = float(np.trace(kernel))
+    resid = total - ss[:, -1]
+    nu1 = np.array([dmatrix.dof[t] for t in tested], dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = ss[:, :-1] / nu1 / (resid / nu2)[:, None]
+    return f, resid, total
+
+
+def _needs_refit(f_kernel, resid, total, f_nominal, nu1, nu2):
+    """Permutations whose kernel F cannot be trusted to decide the count.
+
+    The kernel's sums of squares carry an absolute error of order
+    ``eps * total``, so a kernel F sits within
+    ``KERNEL_TIE_REL * (total / resid) * (F + nu2 / nu1)`` of the refit's
+    F.  A permutation is re-decided when that window reaches the nominal
+    F, or when its kernel residual is not clearly positive.
+    """
+    unclear = resid <= KERNEL_TIE_REL * total
+    safe_resid = np.where(unclear, total, resid)
+    scale = np.maximum(np.abs(f_kernel), np.abs(f_nominal)) + nu2 / nu1
+    window = KERNEL_TIE_REL * (total / safe_resid)[:, None] * scale
+    near = np.abs(f_kernel - f_nominal) <= window
+    return unclear | near.any(axis=1)
 
 
 def _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask):
@@ -307,18 +371,29 @@ def _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask):
 
     if mask is not None:
         mask = _check_mask(x, mask)
+        if not mask.any():
+            mask = None
+    if mask is not None:
         cell_rows = [np.flatnonzero(dmatrix.cell_ids == c)
                      for c in range(int(dmatrix.cell_ids.max()) + 1)]
         grand = _grand_means(x, mask)
 
     def stats(xv):
         theta = proj @ xv
-        total = ssq(xv)
+        total = _total_ssq(xv)
         fitted = _gram_ssq(theta, gram_full)
         resid = max(total - fitted, 0.0)
         per_term = {t: _gram_ssq(theta[spans[t]], grams[t]) for t in all_terms}
         mean_ssq = _gram_ssq(theta[spans[MEAN_TERM]], grams[MEAN_TERM])
         return total, mean_ssq, per_term, resid
+
+    tested_dof = np.array([dmatrix.dof[t] for t in tested], dtype=float)
+
+    def refit_f(xv):
+        _, _, per_term, resid = stats(xv)
+        if resid <= 0.0:
+            return np.inf
+        return np.array([per_term[t] for t in tested]) / tested_dof / (resid / nu2)
 
     x0 = x if mask is None else impute_cell_means(x, mask, dmatrix, warn_empty=True)
     total0, mean0, term_ssq0, resid0 = stats(x0)
@@ -337,24 +412,16 @@ def _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask):
         perms = permute_rows(n, n_permutations, seed=seed)
     n_eff = perms.shape[0]
 
-    f_perm = np.empty((n_eff, len(tested)))
-
-    def run_one(i):
-        xp = x[perms[i]]
-        if mask is not None:
-            xp = _impute(xp, mask[perms[i]], cell_rows, grand)
-        _, _, per_term, resid = stats(xp)
-        for j, t in enumerate(tested):
-            f_perm[i, j] = (per_term[t] / dmatrix.dof[t]) / (resid / nu2) \
-                if resid > 0.0 else np.inf
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_one, range(n_eff)))
+    if mask is None:
+        f_perm, resid, total = _kernel_f_ratios(x, dmatrix, proj, tested, nu2, perms)
+        f_nom = np.array([f_nominal[t] for t in tested])
+        near = _needs_refit(f_perm, resid, total, f_nom, tested_dof, nu2)
+        for i in np.flatnonzero(near):
+            f_perm[i] = refit_f(x[perms[i]])
     else:
-        for i in range(n_eff):
-            run_one(i)
+        f_perm = np.empty((n_eff, len(tested)))
+        for i, p in enumerate(perms):
+            f_perm[i] = refit_f(_impute(x[p], mask[p], cell_rows, grand))
 
     p_values = {}
     for j, t in enumerate(tested):
@@ -376,10 +443,11 @@ def _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask):
 def permutation_test(x, dmatrix, terms=None, n_permutations=1000, seed=0):
     """Row-permutation F-tests for every (or the given) model term.
 
-    The whole model is refitted under each permutation and each tested
-    term's F is compared against its nominal value.  Enumeration replaces
-    sampling whenever ``n_permutations`` covers all non-identity
-    permutations of the rows.
+    Each tested term's permuted F is compared against its nominal value.
+    The permuted F-ratios are read off the row kernel ``Re(X X^H)`` (see
+    the module docstring) and give the counts of a full refit under every
+    permutation.  Enumeration replaces sampling whenever
+    ``n_permutations`` covers all non-identity permutations of the rows.
     """
     return _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask=None)
 

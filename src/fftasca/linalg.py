@@ -113,11 +113,16 @@ def svd(x):
 def numerical_rank(x, tol=None):
     """Rank of ``x`` with singular values <= tol * s_max counted as zero."""
     x = as_complex_matrix(x)
-    s = svd(x).s
+    return rank_from_singular_values(svd(x).s, x.shape, tol)
+
+
+def rank_from_singular_values(s, shape, tol=None):
+    """:func:`numerical_rank` of a matrix of ``shape`` whose descending
+    singular values ``s`` are already known."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     if tol is None:
-        tol = DEFAULT_RANK_TOL_SCALE * max(x.shape)
+        tol = DEFAULT_RANK_TOL_SCALE * max(shape)
     return int(np.count_nonzero(s > tol * s[0]))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, LengthMismatch, RankExceeded
-from .linalg import as_complex_matrix, numerical_rank, svd
+from .linalg import as_complex_matrix, rank_from_singular_values, svd
 from .spectral import SpectrumMatrix, dft_inverse, inverse_rows, reversed_conjugate
 
 __all__ = [
@@ -91,11 +91,13 @@ def _canonical_phase(column):
     return phase
 
 
-def sca_fit(effect, residuals, n_components, term=""):
+def sca_fit(effect, residuals, n_components=None, term="", cap=None):
     """Fit a component model of an effect matrix.
 
-    ``n_components`` must lie in ``1..rank(effect)``.  With zero residuals
-    the projected scores equal the scores exactly.
+    ``n_components`` must lie in ``1..rank(effect)``.  ``None`` picks the
+    count :func:`default_components` would pick with the given ``cap``,
+    from the same SVD the fit uses.  With zero residuals the projected
+    scores equal the scores exactly.
     """
     effect = as_complex_matrix(effect, "effect")
     residuals = as_complex_matrix(residuals, "residuals")
@@ -103,14 +105,16 @@ def sca_fit(effect, residuals, n_components, term=""):
         raise DimensionMismatch(
             f"effect {effect.shape} and residuals {residuals.shape} differ"
         )
-    rank = numerical_rank(effect)
+    res = svd(effect)
+    rank = rank_from_singular_values(res.s, effect.shape)
+    if n_components is None:
+        n_components = _component_count(res.s, rank, rank if cap is None else cap)
     if n_components < 1:
         raise RankExceeded("need at least one component")
     if n_components > rank:
         raise RankExceeded(
             f"{n_components} components requested but the effect has rank {rank}"
         )
-    res = svd(effect)
     loadings = res.v[:, :n_components].copy()
     scores = (res.u[:, :n_components] * res.s[:n_components]).copy()
     for r in range(n_components):
@@ -133,7 +137,10 @@ def default_components(effect, cap, threshold=0.95):
     capped at ``cap`` and at the matrix rank."""
     effect = as_complex_matrix(effect, "effect")
     s = svd(effect).s
-    rank = numerical_rank(effect)
+    return _component_count(s, rank_from_singular_values(s, effect.shape), cap, threshold)
+
+
+def _component_count(s, rank, cap, threshold=0.95):
     if rank == 0:
         raise RankExceeded("effect matrix is zero; nothing to decompose")
     energy = np.cumsum(s[:rank] ** 2) / np.sum(s[:rank] ** 2)

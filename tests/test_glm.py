@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from fftasca.design import DesignSpec, Factor, encode
+from fftasca.design import DesignSpec, Factor, encode, permute_rows
 from fftasca.errors import (
     DimensionMismatch,
     RankWarning,
+    UnbalancedDesignWarning,
     UnknownTerm,
     ZeroResidual,
 )
@@ -20,7 +21,8 @@ from fftasca.glm import (
     permutation_test,
     zeros_to_missing,
 )
-from fftasca.linalg import ssq
+from fftasca.glm import _kernel_f_ratios
+from fftasca.linalg import numerical_rank, pinv, ssq
 from fftasca.spectral import transform_rows
 
 
@@ -255,14 +257,22 @@ class TestPermutationTest:
             assert t2.row(row_name).sum_sq == pytest.approx(
                 t1.row(row_name).sum_sq, rel=1e-9)
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
+    def test_kernel_f_matches_direct_refit_for_every_permutation(self):
         rng = np.random.default_rng(22)
-        dm = one_factor(5)
-        x = rng.normal(size=(10, 40)).astype(complex)
-        serial = permutation_test(x, dm, n_permutations=200, seed=6)
-        monkeypatch.setenv("FFTASCA_THREADS", "4")
-        threaded = permutation_test(x, dm, n_permutations=200, seed=6)
-        assert serial == threaded
+        a = Factor.from_labels("a", [0, 0, 0, 0, 1, 1, 1, 2, 2, 2])
+        b = Factor.from_labels("b", [0, 1, 0, 1, 0, 1, 1, 0, 1, 1])
+        with pytest.warns(UnbalancedDesignWarning):
+            dm = encode(DesignSpec(factors=(a, b), interactions=((0, 1),)))
+        x = rng.normal(size=(10, 40)) + 1j * rng.normal(size=(10, 40))
+        x += 3.0  # a large mean makes the kernel's residual a difference
+        perms = permute_rows(10, 200, seed=6)
+        terms = dm.terms
+        f_kernel, _, _ = _kernel_f_ratios(x, dm, pinv(dm.matrix), terms,
+                                          10 - numerical_rank(dm.matrix), perms)
+        for p, row in zip(perms, f_kernel):
+            dec = fit(x[p], dm)
+            refit = [f_ratio(dec, t) for t in terms]
+            assert row == pytest.approx(refit, rel=1e-9)
 
     def test_table_schema_and_percentages(self):
         rng = np.random.default_rng(15)

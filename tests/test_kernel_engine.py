@@ -1,0 +1,125 @@
+"""The kernel permutation engine against the refit-per-permutation oracle.
+
+``loop_oracle.loop_permutation_test`` refits the model under every
+permutation; the engine in ``fftasca.glm`` reads permuted F-ratios off one
+N x N kernel and refits only near-ties.  Their tables must be equal
+exactly: same nominal rows, same p-values, same permutation count.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fftasca import synth
+from fftasca.design import DesignSpec, Factor, encode
+from fftasca.errors import EmptyCellWarning, ZeroResidual
+from fftasca.glm import pcmr_permutation_test, permutation_test
+from fftasca.linalg import numerical_rank
+from fftasca.synth import SynthConfig, jitter_experiment
+from loop_oracle import loop_permutation_test
+
+KINDS = ("one_way", "two_factor", "interaction", "rank_deficient", "exhaustive")
+
+
+@st.composite
+def factor_labels(draw, n_levels, max_per_level):
+    counts = draw(st.lists(st.integers(1, max_per_level),
+                           min_size=n_levels, max_size=n_levels))
+    labels = [lev for lev, c in enumerate(counts) for _ in range(c)]
+    return draw(st.permutations(labels))
+
+
+@st.composite
+def cases(draw, kind):
+    """(design spec, data, permutation count, seed) for one kind of design."""
+    if kind == "exhaustive":
+        a = draw(factor_labels(draw(st.integers(2, 3)), 2))
+        n = len(a)
+        factors = [Factor.from_labels("a", a)]
+        if n >= 4 and draw(st.booleans()):
+            b = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)
+                     .filter(lambda v: len(set(v)) == 2))
+            factors.append(Factor.from_labels("b", b))
+        spec = DesignSpec(factors=tuple(factors))
+    else:
+        a = draw(factor_labels(draw(st.integers(2, 4)), 4))
+        n = len(a)
+        factors = [Factor.from_labels("a", a)]
+        interactions = ()
+        if kind == "rank_deficient":
+            relabel = draw(st.permutations(sorted(set(a))))
+            factors.append(Factor.from_labels("b", [relabel[v] for v in a]))
+            interactions = ((0, 1),) if draw(st.booleans()) else ()
+        elif kind in ("two_factor", "interaction"):
+            b = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)
+                     .filter(lambda v: len(set(v)) == 2))
+            factors.append(Factor.from_labels("b", b))
+            interactions = ((0, 1),) if kind == "interaction" else ()
+        spec = DesignSpec(factors=tuple(factors), interactions=interactions)
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 6))
+    x = rng.normal(size=(n, m))
+    if draw(st.booleans()):
+        x = x + 1j * rng.normal(size=(n, m))
+    x = x + draw(st.sampled_from([0.0, 4.0, 1e3]))
+    if draw(st.booleans()):
+        x[1] = x[0]  # duplicate rows make exact ties between permutations
+    if kind == "exhaustive":
+        n_perm = math.factorial(n) - 1
+    else:
+        n_perm = draw(st.integers(1, 60))
+    return spec, x, n_perm, draw(st.integers(0, 1000))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(data=st.data())
+def test_kernel_engine_equals_refit_oracle(kind, data):
+    spec, x, n_perm, seed = data.draw(cases(kind))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dm = encode(spec)
+        if numerical_rank(dm.matrix) >= dm.n_samples:
+            return  # saturated: no residual to test against
+        try:
+            expected = loop_permutation_test(x, dm, n_permutations=n_perm, seed=seed)
+        except ZeroResidual:
+            with pytest.raises(ZeroResidual):
+                permutation_test(x, dm, n_permutations=n_perm, seed=seed)
+            return
+        got = permutation_test(x, dm, n_permutations=n_perm, seed=seed)
+    assert got == expected
+    if kind == "exhaustive":
+        assert got.n_permutations == math.factorial(dm.n_samples) - 1
+
+
+def test_pcmr_loop_equals_refit_oracle():
+    rng = np.random.default_rng(3)
+    a = Factor.from_labels("a", [0] * 6 + [1] * 6)
+    b = Factor.from_labels("b", [0, 1, 2] * 4)
+    dm = encode(DesignSpec(factors=(a, b), interactions=((0, 1),)))
+    x = rng.uniform(1.0, 2.0, size=(12, 5))
+    mask = rng.random(size=x.shape) < 0.15
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyCellWarning)
+        got = pcmr_permutation_test(x, mask, dm, n_permutations=99, seed=4)
+        expected = loop_permutation_test(x, dm, n_permutations=99, seed=4, mask=mask)
+    assert got == expected
+
+
+@pytest.mark.parametrize("seed", [13, 15])
+def test_drift_near_ties_decided_like_the_refit(seed, monkeypatch):
+    # Here a true tie's refit F sits 1.3e-12 to 1.8e-12 from the nominal F,
+    # so the count depends on the refit's rounding; the kernel alone
+    # decides those ties the other way.
+    got = jitter_experiment(SynthConfig(), [0], 1, n_permutations=200, seed=seed)
+    monkeypatch.setattr(synth, "permutation_test", loop_permutation_test)
+    expected = jitter_experiment(SynthConfig(), [0], 1, n_permutations=200, seed=seed)
+    assert got[0].z_freq == expected[0].z_freq
+    assert got[0].z_time == expected[0].z_time

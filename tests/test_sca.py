@@ -127,6 +127,20 @@ class TestDefaultComponents:
     def test_zero_effect_raises(self):
         with pytest.raises(RankExceeded):
             default_components(np.zeros((4, 5), dtype=complex), cap=2)
+        with pytest.raises(RankExceeded):
+            sca_fit(np.zeros((4, 5), dtype=complex), np.zeros((4, 5), dtype=complex))
+
+    @pytest.mark.parametrize("cap", [1, 2, 5])
+    def test_fit_without_count_uses_the_default(self, cap):
+        rng = np.random.default_rng(12)
+        xa = rank_k_complex(rng, 8, 9, 4)
+        e = 0.1 * rng.normal(size=xa.shape)
+        chosen = sca_fit(xa, e, cap=cap)
+        count = default_components(xa, cap=cap)
+        assert chosen.n_components == count
+        explicit = sca_fit(xa, e, count)
+        assert np.array_equal(chosen.loadings, explicit.loadings)
+        assert np.array_equal(chosen.projected_scores, explicit.projected_scores)
 
 
 class TestLoadingsToTime:
