@@ -151,6 +151,11 @@ def _parse_grid(token):
     return list(range(start, stop + 1, step))
 
 
+def _check_permutations(n):
+    if n < 1:
+        raise ConfigInvalid(f"--permutations must be at least 1, got {n}")
+
+
 def _term_filename(term):
     return term.replace(":", "_x_")
 
@@ -191,7 +196,7 @@ def _masked_center(x, mask):
 def _emit_term_artifacts(args, out_dir, term, decomp, dmatrix, spec, ids, source_len):
     effect = decomp.effect(term)
     cap = decomp.dof[term]
-    model = sca_fit(effect, decomp.residuals, args.components or None, term=term,
+    model = sca_fit(effect, decomp.residuals, args.components, term=term,
                     cap=max(cap, 1))
     n_comp = model.n_components
     stem = _term_filename(term)
@@ -256,6 +261,11 @@ def _emit_term_artifacts(args, out_dir, term, decomp, dmatrix, spec, ids, source
 
 
 def _cmd_analyze(args):
+    _check_permutations(args.permutations)
+    if not 0 < args.alpha < 1:
+        raise ConfigInvalid(f"--alpha must lie in (0, 1), got {args.alpha}")
+    if args.components is not None and args.components < 1:
+        raise ConfigInvalid(f"--components must be at least 1, got {args.components}")
     x, spec, ids = dataio.load_dataset(args.chromatograms, args.metadata)
     interactions = _parse_interactions(args.interactions, spec)
     if interactions:
@@ -358,6 +368,7 @@ def _write_summary(args, out_dir, extra):
 
 
 def _cmd_simulate(args):
+    _check_permutations(args.permutations)
     levels = _parse_grid(args.jitter_grid)
     config = SynthConfig(
         n_acquisitions=args.acquisitions,

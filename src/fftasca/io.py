@@ -8,6 +8,8 @@ digits so a write/read round trip is exact.
 """
 
 import csv
+import itertools
+from io import StringIO
 
 import numpy as np
 
@@ -29,16 +31,25 @@ __all__ = [
     "read_design_spec",
 ]
 
-FLOAT_FMT = "{:.17g}"
+
+def _data_rows(fh, path):
+    """Yield the header row, then (line, row) per data row, width-checked."""
+    reader = csv.reader(fh)
+    header, first = next(reader, None), next(reader, None)
+    if first is None:
+        raise ParseError(f"{path}: expected a header row and at least one data row", line=1)
+    yield header
+    for i, row in enumerate(itertools.chain([first], reader), start=2):
+        if len(row) != len(header):
+            raise RaggedRows(
+                f"{path}: row {i} has {len(row)} fields, expected {len(header)}", row=i)
+        yield i, row
 
 
-def _read_rows(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows) < 2:
-        raise ParseError(f"{path}: expected a header row and at least one data row",
-                         line=1)
-    return rows
+def _check_unique(ids, path):
+    if len(set(ids)) != len(ids):
+        dupes = sorted({s for s in ids if ids.count(s) > 1})
+        raise ParseError(f"{path}: duplicate sample ids {dupes}")
 
 
 def _parse_float(token, line, column, path):
@@ -51,39 +62,66 @@ def _parse_float(token, line, column, path):
         ) from None
 
 
+def _read_float_table(path, paired=False):
+    """Stream (ids, header, values) from a CSV of an id plus float columns.
+
+    ParseErrors name the line and column of a bad token or non-finite value.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = _data_rows(fh, path)
+        header = next(rows)
+        if paired and (len(header) - 1) % 2 != 0:
+            raise ParseError(f"{path}: expected paired re/im columns", line=1)
+        ids, data = [], []
+        for i, row in rows:
+            ids.append(row[0])
+            try:
+                cells = list(map(float, row[1:]))
+            except ValueError:
+                cells = [_parse_float(tok, i, j + 2, path)
+                         for j, tok in enumerate(row[1:])]
+            data.append(np.array(cells, dtype=float))
+    values = np.array(data, dtype=float)
+    if not np.isfinite(values).all():
+        i, j = np.argwhere(~np.isfinite(values))[0].tolist()
+        raise ParseError(f"{path}: non-finite value {values[i, j]} "
+                         f"(line {i + 2}, column {j + 2})", line=i + 2, column=j + 2)
+    return tuple(ids), header, values
+
+
+def _id_cell(sid, width):
+    """``sid`` as csv.writer writes it, with the comma before a first float."""
+    buf = StringIO()
+    csv.writer(buf).writerow([sid] + [""] * min(width, 1))
+    return buf.getvalue()[:-2]
+
+
+def _write_float_rows(path, header, values, ids=None):
+    """Write ``header``, then one ``%.17g``-template line per row, led by its id."""
+    values = np.asarray(values, dtype=float)
+    width = values.shape[1]
+    fmt = ",".join(["%.17g"] * width) + "\r\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        leads = itertools.repeat("") if ids is None else (_id_cell(s, width) for s in ids)
+        for lead, row in zip(leads, values):
+            fh.write(lead + fmt % tuple(row.tolist()))
+
+
 def read_chromatograms(path):
     """Read a sample-per-row intensity matrix.
 
     Returns (ids, axis_labels, values) where values is a real N x M array.
     """
-    rows = _read_rows(path)
-    header = rows[0]
-    width = len(header)
-    axis_labels = tuple(header[1:])
-    ids, data = [], []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise RaggedRows(
-                f"{path}: row {i} has {len(row)} fields, expected {width}", row=i
-            )
-        ids.append(row[0])
-        data.append([_parse_float(tok, i, j + 2, path)
-                     for j, tok in enumerate(row[1:])])
-    if len(set(ids)) != len(ids):
-        dupes = sorted({s for s in ids if ids.count(s) > 1})
-        raise ParseError(f"{path}: duplicate sample ids {dupes}")
-    return tuple(ids), axis_labels, np.array(data, dtype=float)
+    ids, header, values = _read_float_table(path)
+    _check_unique(ids, path)
+    return ids, tuple(header[1:]), values
 
 
 def write_chromatograms(path, ids, values, axis_labels=None):
-    values = np.asarray(values)
     if axis_labels is None:
-        axis_labels = [f"t{j}" for j in range(values.shape[1])]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", *axis_labels])
-        for sid, row in zip(ids, values):
-            writer.writerow([sid, *(FLOAT_FMT.format(v) for v in row)])
+        axis_labels = [f"t{j}" for j in range(np.shape(values)[1])]
+    _write_float_rows(path, ["sample", *axis_labels], values, ids)
 
 
 def read_metadata(path):
@@ -91,27 +129,20 @@ def read_metadata(path):
 
     Returns (ids, factor_names, label_columns) with labels kept as strings.
     """
-    rows = _read_rows(path)
-    header = rows[0]
-    if len(header) < 2:
-        raise ParseError(f"{path}: metadata needs an id column and at least one factor",
-                         line=1)
-    factor_names = tuple(header[1:])
-    ids, columns = [], [[] for _ in factor_names]
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise RaggedRows(
-                f"{path}: row {i} has {len(row)} fields, expected {len(header)}", row=i
-            )
-        if any(tok.strip() == "" for tok in row):
-            raise ParseError(f"{path}: empty cell on line {i}", line=i)
-        ids.append(row[0])
-        for j, tok in enumerate(row[1:]):
-            columns[j].append(tok)
-    if len(set(ids)) != len(ids):
-        dupes = sorted({s for s in ids if ids.count(s) > 1})
-        raise ParseError(f"{path}: duplicate sample ids {dupes}")
-    return tuple(ids), factor_names, [tuple(c) for c in columns]
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = _data_rows(fh, path)
+        header = next(rows)
+        if len(header) < 2:
+            raise ParseError(
+                f"{path}: metadata needs an id column and at least one factor", line=1)
+        body = []
+        for i, row in rows:
+            if any(tok.strip() == "" for tok in row):
+                raise ParseError(f"{path}: empty cell on line {i}", line=i)
+            body.append(row)
+    ids, *columns = zip(*body)
+    _check_unique(ids, path)
+    return ids, tuple(header[1:]), list(columns)
 
 
 def read_design_spec(path, ids_order, interactions=()):
@@ -158,51 +189,21 @@ def load_dataset(chromatogram_path, metadata_path, interactions=()):
 
 def write_complex_matrix(path, ids, values):
     """Complex matrix as alternating re/im columns per bin."""
-    values = np.asarray(values, dtype=np.complex128)
-    header = ["sample"]
-    for j in range(values.shape[1]):
-        header += [f"k{j}_re", f"k{j}_im"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for sid, row in zip(ids, values):
-            cells = [sid]
-            for v in row:
-                cells += [FLOAT_FMT.format(v.real), FLOAT_FMT.format(v.imag)]
-            writer.writerow(cells)
+    values = np.ascontiguousarray(values, dtype=np.complex128)
+    header = ["sample", *(f"k{j}_{part}" for j in range(values.shape[1])
+                          for part in ("re", "im"))]
+    _write_float_rows(path, header, values.view(np.float64), ids)
 
 
 def read_complex_matrix(path):
-    rows = _read_rows(path)
-    header = rows[0]
-    if (len(header) - 1) % 2 != 0:
-        raise ParseError(f"{path}: expected paired re/im columns", line=1)
-    m = (len(header) - 1) // 2
-    ids, data = [], []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise RaggedRows(
-                f"{path}: row {i} has {len(row)} fields, expected {len(header)}", row=i
-            )
-        ids.append(row[0])
-        vals = [_parse_float(tok, i, j + 2, path) for j, tok in enumerate(row[1:])]
-        data.append([complex(vals[2 * k], vals[2 * k + 1]) for k in range(m)])
-    return tuple(ids), np.array(data, dtype=np.complex128)
+    ids, _, values = _read_float_table(path, paired=True)
+    return ids, values.view(np.complex128)
 
 
 def write_real_matrix_csv(path, column_names, values, row_ids=None):
     """Generic real matrix with named columns (scores, loadings, views)."""
-    values = np.asarray(values, dtype=float)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if row_ids is None:
-            writer.writerow(list(column_names))
-            for row in values:
-                writer.writerow([FLOAT_FMT.format(v) for v in row])
-        else:
-            writer.writerow(["sample", *column_names])
-            for sid, row in zip(row_ids, values):
-                writer.writerow([sid, *(FLOAT_FMT.format(v) for v in row)])
+    header = list(column_names) if row_ids is None else ["sample", *column_names]
+    _write_float_rows(path, header, values, row_ids)
 
 
 def write_anova_csv(path, table):
@@ -234,9 +235,5 @@ def read_anova_csv(path):
 
 
 def write_jitter_table(path, trials):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["jitter", "trial", "z_time", "z_freq"])
-        for t in trials:
-            writer.writerow([t.jitter, t.trial,
-                             FLOAT_FMT.format(t.z_time), FLOAT_FMT.format(t.z_freq)])
+    values = np.array([(t.jitter, t.trial, t.z_time, t.z_freq) for t in trials])
+    _write_float_rows(path, ["jitter", "trial", "z_time", "z_freq"], values.reshape(-1, 4))

@@ -111,17 +111,15 @@ def emit_svg(series, kind="line", title="", x_label="", y_label=""):
 
     for idx, (name, (x, y)) in enumerate(data.items()):
         color = PALETTE[idx % len(PALETTE)]
+        xy = tuple(np.column_stack((sx(x), sy(y))).ravel().tolist())
         if kind == "line":
-            points = " ".join(f"{_fmt(sx(a))},{_fmt(sy(b))}" for a, b in zip(x, y))
+            points = " ".join(["%.6g,%.6g"] * x.size) % xy
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                 f'points="{points}"><title>{name}</title></polyline>'
             )
         else:
-            marks = "".join(
-                f'<circle cx="{_fmt(sx(a))}" cy="{_fmt(sy(b))}" r="3.5"/>'
-                for a, b in zip(x, y)
-            )
+            marks = ('<circle cx="%.6g" cy="%.6g" r="3.5"/>' * x.size) % xy
             parts.append(
                 f'<g fill="{color}" fill-opacity="0.85" data-series="{name}">'
                 f"{marks}</g>"

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from .design import DesignSpec, Factor, encode
 from .errors import ConfigInvalid, DomainError
@@ -207,6 +206,9 @@ def generate(config):
 
 def p_to_z(p):
     """Upper-tail normal quantile of ``1 - p`` for ``p`` in (0, 1]."""
+    # imported here so that only ``simulate`` pays scipy's import time
+    from scipy.special import ndtri
+
     p = float(p)
     if not (0.0 < p <= 1.0):
         raise DomainError(f"p must lie in (0, 1], got {p}")

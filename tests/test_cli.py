@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fftasca
 from fftasca import io as dataio
 from fftasca.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, run_pipeline
 from fftasca.synth import SynthConfig, generate
@@ -191,3 +197,57 @@ class TestTransformAndImpute:
         _, _, values = dataio.read_chromatograms(out)
         assert values[2, 0] == pytest.approx(3.0)
         assert "imputed 1 of 12" in capsys.readouterr().out
+
+
+class TestBoundaryErrors:
+    @pytest.mark.parametrize("flags", [
+        ("--permutations", "0"), ("--permutations", "-5"),
+        ("--alpha", "7"), ("--alpha", "0"), ("--alpha", "1"), ("--alpha", "nan"),
+        ("--components", "0"), ("--components", "-2"),
+    ])
+    def test_out_of_range_analyze_flag_is_config_error(self, fixture_files, tmp_path,
+                                                       capsys, flags):
+        chrom, meta = fixture_files
+        out = tmp_path / "out"
+        assert run("analyze", chrom, meta, *flags, "--out-dir", out) == EXIT_CONFIG
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_permutations_in_simulate_is_config_error(self, tmp_path, capsys):
+        assert run("simulate", "--permutations", "0", "--out-dir", tmp_path) == EXIT_CONFIG
+        assert "--permutations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_explicit_component_count_is_used(self, tmp_path, count):
+        rng = np.random.default_rng(0)
+        labels = [0, 1, 2] * 4
+        x = 5.0 * rng.normal(size=(3, 40))[labels] + rng.normal(size=(12, 40))
+        ids = [f"s{i}" for i in range(12)]
+        chrom, meta, out = tmp_path / "c.csv", tmp_path / "m.csv", tmp_path / "out"
+        dataio.write_chromatograms(chrom, ids, x)
+        meta.write_text("sample,group\n" + "".join(
+            f"{s},g{lab}\n" for s, lab in zip(ids, labels)), encoding="utf-8")
+        assert run("analyze", chrom, meta, "--domain", "time", "--permutations", "50",
+                   "--components", count, "--out-dir", out, "--no-timestamp") == EXIT_OK
+        header = (out / "scores_group.csv").read_text(encoding="utf-8").splitlines()[0]
+        assert header == ",".join(["sample", *(f"pc{r + 1}" for r in range(count))])
+
+    @pytest.mark.parametrize("command", ["analyze", "transform", "impute"])
+    def test_non_finite_input_is_data_error(self, fixture_files, tmp_path, capsys, command):
+        ids, _, values = dataio.read_chromatograms(fixture_files[0])
+        values[1, 2] = np.nan
+        chrom = tmp_path / "nan.csv"
+        dataio.write_chromatograms(chrom, ids, values)
+        out = ("--out", tmp_path / "out.csv")
+        argv = {"analyze": (fixture_files[1],), "transform": out,
+                "impute": (fixture_files[1], *out)}[command]
+        assert run(command, chrom, *argv) == EXIT_DATA
+        assert "line 3, column 4" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(fftasca.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    check = "import sys, fftasca.cli; sys.exit(int('scipy' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0

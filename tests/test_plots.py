@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fftasca import plots
 from fftasca.errors import EmptySeries
 from fftasca.plots import emit_svg
 
@@ -32,6 +33,20 @@ class TestEmitSvg:
         a = emit_svg({"s": y}, kind="line", title="t")
         b = emit_svg({"s": y.copy()}, kind="line", title="t")
         assert a.encode() == b.encode()
+
+    def test_points_match_scalar_scaling_per_point(self):
+        rng = np.random.default_rng(2)
+        x = np.concatenate([rng.normal(size=30) * 1e4, [-0.0]])
+        y = np.concatenate([rng.normal(size=30) * 1e-5, [5e-324]])
+        sx = plots._scaler(float(x.min()), float(x.max()), plots.MARGIN,
+                           plots.WIDTH - plots.MARGIN)
+        sy = plots._scaler(float(y.min()), float(y.max()), plots.HEIGHT - plots.MARGIN,
+                           plots.MARGIN)
+        pairs = [(plots._fmt(sx(a)), plots._fmt(sy(b))) for a, b in zip(x, y)]
+        line = emit_svg({"s": (x, y)}, kind="line")
+        assert 'points="' + " ".join(f"{a},{b}" for a, b in pairs) + '"' in line
+        scatter = emit_svg({"s": (x, y)}, kind="scatter")
+        assert "".join(f'<circle cx="{a}" cy="{b}" r="3.5"/>' for a, b in pairs) in scatter
 
     def test_empty_series_rejected(self):
         with pytest.raises(EmptySeries):
