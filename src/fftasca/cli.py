@@ -41,6 +41,7 @@ from .errors import (
     ZeroResidual,
 )
 from .glm import (
+    _grand_means,
     fit,
     impute_cell_means,
     pcmr_permutation_test,
@@ -151,9 +152,9 @@ def _parse_grid(token):
     return list(range(start, stop + 1, step))
 
 
-def _check_permutations(n):
+def _check_count(flag, n):
     if n < 1:
-        raise ConfigInvalid(f"--permutations must be at least 1, got {n}")
+        raise ConfigInvalid(f"{flag} must be at least 1, got {n}")
 
 
 def _term_filename(term):
@@ -183,89 +184,65 @@ def _scatter_series(scores, labels):
     return series
 
 
-def _masked_center(x, mask):
-    """Column-center using observed entries only; masked cells are untouched."""
-    counts = (~mask).sum(axis=0)
-    sums = np.where(mask, 0.0, x).sum(axis=0)
-    means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    out = x - means
-    out[mask] = x[mask]
-    return out
+def _write_text(path, text):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
-def _emit_term_artifacts(args, out_dir, term, decomp, dmatrix, spec, ids, source_len):
-    effect = decomp.effect(term)
-    cap = decomp.dof[term]
-    model = sca_fit(effect, decomp.residuals, args.components, term=term,
-                    cap=max(cap, 1))
+def _write_pair(out_dir, name, columns, values, series, row_ids=None, **svg):
+    """Write ``values`` to ``name.csv``, then ``series`` plotted to ``name.svg``."""
+    path = os.path.join(out_dir, name)
+    dataio.write_real_matrix_csv(f"{path}.csv", columns, values, row_ids=row_ids)
+    _write_text(f"{path}.svg", plots.emit_svg(series, **svg))
+
+
+def _write_anova(out_dir, name, table):
+    dataio.write_anova_csv(os.path.join(out_dir, f"{name}.csv"), table)
+    _write_text(os.path.join(out_dir, f"{name}.txt"), table.to_text())
+
+
+def _emit_term_artifacts(args, out_dir, term, decomp, spec, ids, source_len):
+    model = sca_fit(decomp.effect(term), decomp.residuals, args.components, term=term,
+                    cap=max(decomp.dof[term], 1))
     n_comp = model.n_components
     stem = _term_filename(term)
+    pcs = [f"pc{r + 1}" for r in range(n_comp)]
 
     scores = real_scores(model)
-    dataio.write_real_matrix_csv(
-        os.path.join(out_dir, f"scores_{stem}.csv"),
-        [f"pc{r + 1}" for r in range(n_comp)], scores, row_ids=ids,
-    )
     labels = _group_labels(spec, term)
-    svg = plots.emit_svg(
-        _scatter_series(scores, labels), kind="scatter",
-        title=f"scores: {term}",
-        x_label="component 1" if n_comp >= 2 else "sample index",
-        y_label="component 2" if n_comp >= 2 else "component 1",
-    )
-    with open(os.path.join(out_dir, f"scores_{stem}.svg"), "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write_pair(out_dir, f"scores_{stem}", pcs, scores, _scatter_series(scores, labels),
+                row_ids=ids, kind="scatter", title=f"scores: {term}",
+                x_label="component 1" if n_comp >= 2 else "sample index",
+                y_label="component 2" if n_comp >= 2 else "component 1")
 
     if args.domain == "freq":
-        view = loadings_to_time(model, source_len)
-        dataio.write_real_matrix_csv(
-            os.path.join(out_dir, f"loadings_time_{stem}.csv"),
-            [f"pc{r + 1}" for r in range(n_comp)], view.loadings_time,
-        )
-        line_series = {f"pc{r + 1}": view.loadings_time[:, r] for r in range(n_comp)}
-        svg = plots.emit_svg(line_series, kind="line",
-                             title=f"time-domain loadings: {term}",
-                             x_label="acquisition", y_label="loading")
-        with open(os.path.join(out_dir, f"loadings_time_{stem}.svg"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(svg)
+        loadings = loadings_to_time(model, source_len).loadings_time
+        name, title, x_label = "loadings_time", "time-domain loadings", "acquisition"
+    else:
+        loadings = model.loadings.real
+        name, title, x_label = "loadings", "loadings", "variable"
+    _write_pair(out_dir, f"{name}_{stem}", pcs, loadings,
+                {pc: loadings[:, r] for r, pc in enumerate(pcs)}, kind="line",
+                title=f"{title}: {term}", x_label=x_label, y_label="loading")
 
-        eview = effect_to_time(decomp, term)
-        dataio.write_real_matrix_csv(
-            os.path.join(out_dir, f"effect_time_{stem}.csv"),
-            [f"t{j}" for j in range(eview.effect_time.shape[1])],
-            eview.effect_time, row_ids=ids,
-        )
+    if args.domain == "freq":
+        effect = effect_to_time(decomp, term).effect_time
         level_means = {}
         for lab in sorted(set(labels)):
             idx = [i for i, v in enumerate(labels) if v == lab]
-            level_means[lab] = eview.effect_time[idx].mean(axis=0)
-        svg = plots.emit_svg(level_means, kind="line",
-                             title=f"time-domain effect: {term}",
-                             x_label="acquisition", y_label="intensity")
-        with open(os.path.join(out_dir, f"effect_time_{stem}.svg"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(svg)
-    else:
-        dataio.write_real_matrix_csv(
-            os.path.join(out_dir, f"loadings_{stem}.csv"),
-            [f"pc{r + 1}" for r in range(n_comp)], model.loadings.real,
-        )
-        line_series = {f"pc{r + 1}": model.loadings.real[:, r] for r in range(n_comp)}
-        svg = plots.emit_svg(line_series, kind="line",
-                             title=f"loadings: {term}",
-                             x_label="variable", y_label="loading")
-        with open(os.path.join(out_dir, f"loadings_{stem}.svg"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(svg)
+            level_means[lab] = effect[idx].mean(axis=0)
+        _write_pair(out_dir, f"effect_time_{stem}", [f"t{j}" for j in range(effect.shape[1])],
+                    effect, level_means, row_ids=ids, kind="line",
+                    title=f"time-domain effect: {term}", x_label="acquisition",
+                    y_label="intensity")
 
 
 def _cmd_analyze(args):
-    _check_permutations(args.permutations)
+    _check_count("--permutations", args.permutations)
     if not 0 < args.alpha < 1:
         raise ConfigInvalid(f"--alpha must lie in (0, 1), got {args.alpha}")
-    if args.components is not None and args.components < 1:
-        raise ConfigInvalid(f"--components must be at least 1, got {args.components}")
+    if args.components is not None:
+        _check_count("--components", args.components)
     x, spec, ids = dataio.load_dataset(args.chromatograms, args.metadata)
     interactions = _parse_interactions(args.interactions, spec)
     if interactions:
@@ -280,7 +257,9 @@ def _cmd_analyze(args):
         x = values.astype(np.complex128)
 
     if args.center:
-        x = _masked_center(x, mask) if mask is not None else mean_center_columns(x)
+        # with a mask, centre by observed-entry means and leave masked cells as they are
+        x = (mean_center_columns(x) if mask is None
+             else np.where(mask, x, x - _grand_means(x, mask)))
 
     if args.domain == "time":
         data = x
@@ -303,9 +282,7 @@ def _cmd_analyze(args):
     if args.out_dir is None:
         return EXIT_OK
     os.makedirs(args.out_dir, exist_ok=True)
-    dataio.write_anova_csv(os.path.join(args.out_dir, "anova.csv"), table)
-    with open(os.path.join(args.out_dir, "anova.txt"), "w", encoding="utf-8") as fh:
-        fh.write(table.to_text())
+    _write_anova(args.out_dir, "anova", table)
 
     significant = [t for t in dmatrix.terms
                    if table.row(t).p_value is not None
@@ -313,8 +290,7 @@ def _cmd_analyze(args):
     if significant:
         decomp = fit(fitted_input, dmatrix)
         for term in significant:
-            _emit_term_artifacts(args, args.out_dir, term, decomp, dmatrix,
-                                 spec, ids, source_len)
+            _emit_term_artifacts(args, args.out_dir, term, decomp, spec, ids, source_len)
 
     if args.trim:
         kept = [t for t in significant if ":" not in t]
@@ -340,11 +316,7 @@ def _cmd_analyze(args):
                 trimmed = permutation_test(
                     data, trimmed_dm,
                     n_permutations=args.permutations, seed=args.seed)
-            dataio.write_anova_csv(os.path.join(args.out_dir, "anova_trimmed.csv"),
-                                   trimmed)
-            with open(os.path.join(args.out_dir, "anova_trimmed.txt"), "w",
-                      encoding="utf-8") as fh:
-                fh.write(trimmed.to_text())
+            _write_anova(args.out_dir, "anova_trimmed", trimmed)
         else:
             sys.stderr.write("trim requested but no term passed the threshold\n")
 
@@ -363,12 +335,12 @@ def _write_summary(args, out_dir, extra):
     lines.append(f"command: {args.command}")
     for k, v in extra.items():
         lines.append(f"{k}: {v}")
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(os.path.join(out_dir, "summary.txt"), "\n".join(lines) + "\n")
 
 
 def _cmd_simulate(args):
-    _check_permutations(args.permutations)
+    _check_count("--permutations", args.permutations)
+    _check_count("--trials", args.trials)
     levels = _parse_grid(args.jitter_grid)
     config = SynthConfig(
         n_acquisitions=args.acquisitions,
@@ -408,8 +380,7 @@ def _cmd_simulate(args):
         kind="line", title="drift sensitivity",
         x_label="max jitter (acquisitions)", y_label="mean z",
     )
-    with open(os.path.join(args.out_dir, "jitter_z.svg"), "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write_text(os.path.join(args.out_dir, "jitter_z.svg"), svg)
     _write_summary(args, args.out_dir, extra={
         "jitter_levels": ",".join(str(j) for j in levels),
         "trials": str(args.trials),

@@ -9,6 +9,7 @@ are mutually orthogonal, which is what makes the effect sums of squares
 partition additively.
 """
 
+import functools
 import itertools
 import math
 import warnings
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateFactor, DimensionMismatch, UnbalancedDesignWarning
+from .linalg import pinv_from_svd, rank_from_singular_values, svd
 
 __all__ = [
     "Factor",
@@ -137,6 +139,27 @@ class DesignMatrix:
     def columns_for(self, term):
         span = self.column_spans[term]
         return self.matrix[:, span]
+
+    # derived once per design and cached; ``rank`` and ``pinv`` share this SVD
+    @functools.cached_property
+    def _svd(self):
+        return svd(self.matrix)
+
+    @functools.cached_property
+    def rank(self):
+        """Numerical rank of ``matrix``, as :func:`linalg.numerical_rank`."""
+        return rank_from_singular_values(self._svd.s, self.matrix.shape)
+
+    @functools.cached_property
+    def pinv(self):
+        """Pseudoinverse of ``matrix``, as :func:`linalg.pinv`."""
+        return pinv_from_svd(self._svd, self.matrix.shape)
+
+    @functools.cached_property
+    def cell_rows(self):
+        """Row indices of each cell, indexed by cell id."""
+        return tuple(np.flatnonzero(self.cell_ids == c)
+                     for c in range(int(self.cell_ids.max()) + 1))
 
 
 def encode(spec):

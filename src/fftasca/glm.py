@@ -49,7 +49,7 @@ from .errors import (
     UnknownTerm,
     ZeroResidual,
 )
-from .linalg import as_complex_matrix, numerical_rank, pinv, ssq
+from .linalg import as_complex_matrix, ssq
 
 __all__ = [
     "GlmDecomposition",
@@ -93,6 +93,22 @@ class GlmDecomposition:
             raise UnknownTerm(f"no term '{term}' in this fit") from None
 
 
+def _check_design(x, dmatrix, stacklevel):
+    """Reject data with the wrong row count; warn if the design is rank
+    deficient, ``stacklevel`` frames up as for :func:`warnings.warn`."""
+    d = dmatrix.matrix
+    if x.shape[0] != d.shape[0]:
+        raise DimensionMismatch(
+            f"data has {x.shape[0]} rows but the design encodes {d.shape[0]} samples"
+        )
+    if dmatrix.rank < d.shape[1]:
+        warnings.warn(
+            "design matrix is column-rank deficient; fitting by pseudoinverse",
+            RankWarning,
+            stacklevel=stacklevel + 1,
+        )
+
+
 def fit(x, dmatrix):
     """Least-squares fit of ``x`` (N x M) against an encoded design.
 
@@ -100,19 +116,9 @@ def fit(x, dmatrix):
     ``ones*mu + sum(effects) + residuals == x``.
     """
     x = as_complex_matrix(x)
+    _check_design(x, dmatrix, stacklevel=2)
     d = dmatrix.matrix
-    if x.shape[0] != d.shape[0]:
-        raise DimensionMismatch(
-            f"data has {x.shape[0]} rows but the design encodes {d.shape[0]} samples"
-        )
-    rank = numerical_rank(d)
-    if rank < d.shape[1]:
-        warnings.warn(
-            "design matrix is column-rank deficient; fitting by pseudoinverse",
-            RankWarning,
-            stacklevel=2,
-        )
-    theta = pinv(d) @ x
+    theta = dmatrix.pinv @ x
     effects = {}
     for term in dmatrix.terms:
         span = dmatrix.column_spans[term]
@@ -123,7 +129,7 @@ def fit(x, dmatrix):
         effects=effects,
         residuals=residuals,
         dof={t: dmatrix.dof[t] for t in dmatrix.terms},
-        residual_dof=x.shape[0] - rank,
+        residual_dof=x.shape[0] - dmatrix.rank,
         grand_mean_row=theta[dmatrix.column_spans[MEAN_TERM]].copy(),
     )
 
@@ -258,10 +264,8 @@ def impute_cell_means(x, mask, dmatrix, warn_empty=True):
     mask = _check_mask(x, mask)
     if x.shape[0] != dmatrix.n_samples:
         raise DimensionMismatch("data rows do not match the design")
-    cell_rows = [np.flatnonzero(dmatrix.cell_ids == c)
-                 for c in range(int(dmatrix.cell_ids.max()) + 1)]
     if warn_empty:
-        for c, rows in enumerate(cell_rows):
+        for c, rows in enumerate(dmatrix.cell_rows):
             empty = (~mask[rows]).sum(axis=0) == 0
             if mask[rows].any() and empty.any():
                 cols = np.flatnonzero(empty)
@@ -271,7 +275,7 @@ def impute_cell_means(x, mask, dmatrix, warn_empty=True):
                     EmptyCellWarning,
                     stacklevel=2,
                 )
-    return _impute(x, mask, cell_rows, _grand_means(x, mask))
+    return _impute(x, mask, dmatrix.cell_rows, _grand_means(x, mask))
 
 
 def _gram_ssq(theta, gram):
@@ -290,7 +294,7 @@ def _count_at_or_above(f_perm, f_nominal):
     return int(np.count_nonzero(f_perm - f_nominal >= -tie))
 
 
-def _kernel_f_ratios(x, dmatrix, proj, tested, nu2, perms):
+def _kernel_f_ratios(x, dmatrix, tested, perms):
     """F-ratio of every tested term under every permutation, read off the
     N x N kernel ``K = Re(X X^H)`` instead of refitting.
 
@@ -303,7 +307,7 @@ def _kernel_f_ratios(x, dmatrix, proj, tested, nu2, perms):
     and the total sum of squares ``Tr(K)``.
     """
     n = x.shape[0]
-    d, spans, proj = dmatrix.matrix, dmatrix.column_spans, proj.real
+    d, spans, proj = dmatrix.matrix, dmatrix.column_spans, dmatrix.pinv.real
     blocks = [d[:, spans[t]] @ proj[spans[t]] for t in tested] + [d @ proj]
     hats = np.stack([a.T @ a for a in blocks]).reshape(len(blocks), n * n)
     kernel = x.real @ x.real.T + x.imag @ x.imag.T
@@ -316,6 +320,7 @@ def _kernel_f_ratios(x, dmatrix, proj, tested, nu2, perms):
     total = float(np.trace(kernel))
     resid = total - ss[:, -1]
     nu1 = np.array([dmatrix.dof[t] for t in tested], dtype=float)
+    nu2 = n - dmatrix.rank
     with np.errstate(divide="ignore", invalid="ignore"):
         f = ss[:, :-1] / nu1 / (resid / nu2)[:, None]
     return f, resid, total
@@ -340,12 +345,9 @@ def _needs_refit(f_kernel, resid, total, f_nominal, nu1, nu2):
 
 def _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask):
     x = as_complex_matrix(x)
+    _check_design(x, dmatrix, stacklevel=3)
     n = x.shape[0]
     d = dmatrix.matrix
-    if n != d.shape[0]:
-        raise DimensionMismatch(
-            f"data has {n} rows but the design encodes {d.shape[0]} samples"
-        )
     if n_permutations < 1:
         raise ValueError("need at least one permutation")
 
@@ -355,15 +357,8 @@ def _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask):
         if t not in all_terms:
             raise UnknownTerm(f"no term '{t}' in the design")
 
-    rank = numerical_rank(d)
-    if rank < d.shape[1]:
-        warnings.warn(
-            "design matrix is column-rank deficient; fitting by pseudoinverse",
-            RankWarning,
-            stacklevel=3,
-        )
-    nu2 = n - rank
-    proj = pinv(d)
+    nu2 = n - dmatrix.rank
+    proj = dmatrix.pinv
     gram_full = d.T @ d
     grams = {t: d[:, dmatrix.column_spans[t]].T @ d[:, dmatrix.column_spans[t]]
              for t in list(dmatrix.column_spans)}
@@ -374,8 +369,6 @@ def _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask):
         if not mask.any():
             mask = None
     if mask is not None:
-        cell_rows = [np.flatnonzero(dmatrix.cell_ids == c)
-                     for c in range(int(dmatrix.cell_ids.max()) + 1)]
         grand = _grand_means(x, mask)
 
     def stats(xv):
@@ -413,7 +406,7 @@ def _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask):
     n_eff = perms.shape[0]
 
     if mask is None:
-        f_perm, resid, total = _kernel_f_ratios(x, dmatrix, proj, tested, nu2, perms)
+        f_perm, resid, total = _kernel_f_ratios(x, dmatrix, tested, perms)
         f_nom = np.array([f_nominal[t] for t in tested])
         near = _needs_refit(f_perm, resid, total, f_nom, tested_dof, nu2)
         for i in np.flatnonzero(near):
@@ -421,7 +414,7 @@ def _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask):
     else:
         f_perm = np.empty((n_eff, len(tested)))
         for i, p in enumerate(perms):
-            f_perm[i] = refit_f(_impute(x[p], mask[p], cell_rows, grand))
+            f_perm[i] = refit_f(_impute(x[p], mask[p], dmatrix.cell_rows, grand))
 
     p_values = {}
     for j, t in enumerate(tested):

@@ -32,12 +32,22 @@ __all__ = [
 ]
 
 
+def _decoded_rows(fh, path):
+    """``csv.reader`` rows of ``fh``; text that is not UTF-8 is a ParseError."""
+    try:
+        yield from csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
+
+
 def _data_rows(fh, path):
     """Yield the header row, then (line, row) per data row, width-checked."""
-    reader = csv.reader(fh)
+    reader = _decoded_rows(fh, path)
     header, first = next(reader, None), next(reader, None)
     if first is None:
         raise ParseError(f"{path}: expected a header row and at least one data row", line=1)
+    if not header:
+        raise ParseError(f"{path}: line 1 is blank, expected a header row", line=1)
     yield header
     for i, row in enumerate(itertools.chain([first], reader), start=2):
         if len(row) != len(header):

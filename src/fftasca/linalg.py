@@ -23,10 +23,6 @@ __all__ = [
     "ssq",
     "svd",
     "pinv",
-    "matmul",
-    "add",
-    "sub",
-    "scale",
     "mean_center_columns",
 ]
 
@@ -133,42 +129,19 @@ def pinv(x, tol=None):
     default tolerance is ``1e-12 * max(rows, cols)``.
     """
     x = as_complex_matrix(x)
+    return pinv_from_svd(svd(x), x.shape, tol)
+
+
+def pinv_from_svd(res, shape, tol=None):
+    """:func:`pinv` of a matrix of ``shape`` whose SVD ``res`` is already
+    known."""
     if tol is None:
-        tol = DEFAULT_RANK_TOL_SCALE * max(x.shape)
-    res = svd(x)
+        tol = DEFAULT_RANK_TOL_SCALE * max(shape)
     if res.s.size == 0 or res.s[0] == 0.0:
-        return np.zeros((x.shape[1], x.shape[0]), dtype=np.complex128)
+        return np.zeros((shape[1], shape[0]), dtype=np.complex128)
     keep = res.s > tol * res.s[0]
     u, s, v = res.u[:, keep], res.s[keep], res.v[:, keep]
     return (v / s) @ u.conj().T
-
-
-def matmul(a, b):
-    a = as_complex_matrix(a, "left operand")
-    b = as_complex_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def add(a, b):
-    a = as_complex_matrix(a, "left operand")
-    b = as_complex_matrix(b, "right operand")
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"cannot add {a.shape} and {b.shape}")
-    return a + b
-
-
-def sub(a, b):
-    a = as_complex_matrix(a, "left operand")
-    b = as_complex_matrix(b, "right operand")
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"cannot subtract {b.shape} from {a.shape}")
-    return a - b
-
-
-def scale(a, c):
-    return as_complex_matrix(a) * complex(c)
 
 
 def mean_center_columns(x):

@@ -9,6 +9,8 @@ import pytest
 import fftasca
 from fftasca import io as dataio
 from fftasca.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, run_pipeline
+from fftasca.design import DesignSpec, encode
+from fftasca.glm import pcmr_permutation_test, zeros_to_missing
 from fftasca.synth import SynthConfig, generate
 
 
@@ -27,6 +29,32 @@ def fixture_files(tmp_path):
         lines.append(f"{sid},{factor.level_names[lab]}")
     meta.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return chrom, meta
+
+
+@pytest.fixture()
+def peak_table(tmp_path):
+    """24-sample peak table with zeros: strong ``diet`` effect, null ``time``."""
+    rng = np.random.default_rng(3)
+    diet = np.repeat([0, 1], 12)
+    time = np.tile([0, 1, 2], 8)
+    peaks = rng.uniform(3.0, 9.0, size=(24, 6))
+    peaks[diet == 1, :3] += 5.0
+    peaks[rng.random(peaks.shape) < 0.15] = 0.0
+    ids = [f"s{i}" for i in range(24)]
+    chrom = tmp_path / "peaks.csv"
+    meta = tmp_path / "meta.csv"
+    dataio.write_chromatograms(chrom, ids, peaks,
+                               axis_labels=[f"peak{j}" for j in range(6)])
+    meta.write_text("sample,diet,time\n" + "".join(
+        f"{sid},d{d},t{t}\n" for sid, d, t in zip(ids, diet, time)), encoding="utf-8")
+    return chrom, meta
+
+
+def pcmr_inputs(chrom, meta):
+    """(data, mask, spec) as ``analyze --pcmr`` builds them."""
+    x, spec, _ = dataio.load_dataset(chrom, meta)
+    values, mask = zeros_to_missing(x.real)
+    return values.astype(np.complex128), mask, spec
 
 
 def run(*argv):
@@ -119,6 +147,41 @@ class TestAnalyze:
                    "--out-dir", out, "--no-timestamp") == EXIT_OK
         table = dataio.read_anova_csv(out / "anova.csv")
         assert table.row("group").p_value <= 0.05
+
+    def test_pcmr_trim_refits_the_kept_terms(self, peak_table, tmp_path):
+        out = tmp_path / "out"
+        assert run("analyze", *peak_table, "--domain", "time", "--pcmr", "--trim",
+                   "--permutations", "99", "--seed", "3",
+                   "--out-dir", out, "--no-timestamp") == EXIT_OK
+        table = dataio.read_anova_csv(out / "anova.csv")
+        assert table.row("diet").p_value <= 0.05 < table.row("time").p_value
+        data, mask, spec = pcmr_inputs(*peak_table)
+        kept = encode(DesignSpec(factors=(spec.factors[spec.factor_index("diet")],)))
+        expected = pcmr_permutation_test(data, mask, kept, n_permutations=99, seed=3)
+        assert (out / "anova_trimmed.csv").read_text(encoding="utf-8") == expected.to_csv()
+        assert (out / "anova_trimmed.txt").read_text(encoding="utf-8") == expected.to_text()
+
+    def test_trim_with_nothing_significant_says_so(self, peak_table, tmp_path, capsys):
+        out = tmp_path / "out"
+        # 20 permutations cannot reach a p below 1/21 > alpha
+        assert run("analyze", *peak_table, "--domain", "time", "--pcmr", "--trim",
+                   "--permutations", "20", "--alpha", "0.01",
+                   "--out-dir", out, "--no-timestamp") == EXIT_OK
+        assert "no term passed the threshold" in capsys.readouterr().err
+        assert not (out / "anova_trimmed.csv").exists()
+
+    def test_pcmr_center_uses_observed_column_means(self, peak_table, tmp_path):
+        out = tmp_path / "out"
+        assert run("analyze", *peak_table, "--domain", "time", "--pcmr", "--center",
+                   "--permutations", "99", "--seed", "4",
+                   "--out-dir", out, "--no-timestamp") == EXIT_OK
+        data, mask, spec = pcmr_inputs(*peak_table)
+        observed = np.where(mask, 0.0, data)
+        means = observed.sum(axis=0) / (~mask).sum(axis=0)
+        centred = np.where(mask, data, data - means)
+        expected = pcmr_permutation_test(centred, mask, encode(spec),
+                                         n_permutations=99, seed=4)
+        assert (out / "anova.csv").read_text(encoding="utf-8") == expected.to_csv()
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("analyze", tmp_path / "nope.csv", tmp_path / "meta.csv") \
@@ -216,6 +279,38 @@ class TestBoundaryErrors:
     def test_zero_permutations_in_simulate_is_config_error(self, tmp_path, capsys):
         assert run("simulate", "--permutations", "0", "--out-dir", tmp_path) == EXIT_CONFIG
         assert "--permutations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_in_simulate_is_config_error(self, tmp_path, capsys, trials):
+        out = tmp_path / "sim"
+        assert run("simulate", "--trials", trials, "--jitter-grid", "0:10:0",
+                   "--out-dir", out) == EXIT_CONFIG
+        assert "--trials" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, bad", [
+        ("analyze", "data"), ("analyze", "metadata"), ("transform", "data")])
+    def test_invalid_utf8_is_data_error(self, fixture_files, tmp_path, capsys,
+                                        command, bad):
+        chrom, meta = fixture_files
+        source = chrom if bad == "data" else meta
+        raw = source.read_bytes()
+        corrupt = tmp_path / f"corrupt_{source.name}"
+        corrupt.write_bytes(raw[:len(raw) // 2] + b"\xff" + raw[len(raw) // 2:])
+        if command == "transform":
+            argv = (corrupt, "--out", tmp_path / "out.csv")
+        else:
+            argv = (corrupt, meta) if bad == "data" else (chrom, corrupt)
+        assert run(command, *argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(corrupt) in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("text", ["\n\n", "\nsample,t0\ns1,1\n"])
+    def test_blank_first_line_is_data_error(self, tmp_path, capsys, text):
+        chrom = tmp_path / "blank.csv"
+        chrom.write_text(text, encoding="utf-8")
+        assert run("transform", chrom, "--out", tmp_path / "out.csv") == EXIT_DATA
+        assert "line 1 is blank" in capsys.readouterr().err
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_explicit_component_count_is_used(self, tmp_path, count):

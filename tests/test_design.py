@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from fftasca.design import (
     is_balanced,
     permute_rows,
 )
-from fftasca.errors import DegenerateFactor, DimensionMismatch
-from fftasca.linalg import pinv
+from fftasca.errors import DegenerateFactor, DimensionMismatch, UnbalancedDesignWarning
+from fftasca.linalg import numerical_rank, pinv
 
 
 def two_by_two(reps=3, interaction=True):
@@ -105,6 +106,35 @@ class TestEncode:
         dm = encode(spec)
         assert dm.cell_ids.shape == (n,)
         assert len(set(dm.cell_ids.tolist())) == 4
+
+
+def _unbalanced_with_interaction():
+    a = Factor.from_labels("a", [0, 0, 0, 0, 1, 1, 1, 2, 2, 2])
+    b = Factor.from_labels("b", [0, 1, 0, 1, 0, 1, 1, 0, 1, 1])
+    return DesignSpec(factors=(a, b), interactions=((0, 1),))
+
+
+def _rank_deficient():
+    a = Factor.from_labels("a", [0, 0, 1, 1, 0, 1])
+    b = Factor.from_labels("b", [0, 0, 1, 1, 0, 1])  # duplicates a
+    return DesignSpec(factors=(a, b), interactions=((0, 1),))
+
+
+class TestPreparedDesign:
+    @pytest.mark.parametrize("make_spec", [
+        lambda: two_by_two(reps=3)[0], _unbalanced_with_interaction, _rank_deficient,
+    ])
+    def test_rank_pinv_and_cells_match_the_direct_computation(self, make_spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnbalancedDesignWarning)
+            dm = encode(make_spec())
+        assert dm.rank == numerical_rank(dm.matrix)
+        expected = pinv(dm.matrix)
+        assert (dm.pinv.dtype, dm.pinv.shape) == (expected.dtype, expected.shape)
+        assert dm.pinv.tobytes() == expected.tobytes()
+        assert [r.tolist() for r in dm.cell_rows] == [
+            np.flatnonzero(dm.cell_ids == c).tolist()
+            for c in range(int(dm.cell_ids.max()) + 1)]
 
 
 class TestIsBalanced:

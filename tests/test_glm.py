@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fftasca import design, linalg
 from fftasca.design import DesignSpec, Factor, encode, permute_rows
 from fftasca.errors import (
     DimensionMismatch,
@@ -22,7 +23,7 @@ from fftasca.glm import (
     zeros_to_missing,
 )
 from fftasca.glm import _kernel_f_ratios
-from fftasca.linalg import numerical_rank, pinv, ssq
+from fftasca.linalg import ssq
 from fftasca.spectral import transform_rows
 
 
@@ -109,6 +110,50 @@ class TestFit:
         with pytest.warns(RankWarning):
             dec = fit(x, dm)
         assert dec.residual_dof == 4 - 2  # numerical rank, not column count
+
+
+def _rank_deficient_design():
+    a = Factor.from_labels("a", [0, 0, 1, 1, 0, 1])
+    b = Factor.from_labels("b", [0, 0, 1, 1, 0, 1])  # duplicates a
+    with pytest.warns(UnbalancedDesignWarning):
+        return encode(DesignSpec(factors=(a, b)))
+
+
+def _pcmr_test(x, dm, **kwargs):
+    mask = np.zeros(x.shape, dtype=bool)
+    mask[0, 1] = True
+    return pcmr_permutation_test(x, mask, dm, **kwargs)
+
+
+class TestPreparedDesignUse:
+    def test_permutation_test_and_fit_share_one_svd(self, monkeypatch):
+        calls = []
+
+        def counting_svd(x, _svd=linalg.svd):
+            calls.append(np.shape(x))
+            return _svd(x)
+
+        # every module that can reach the SVD of a design
+        monkeypatch.setattr(linalg, "svd", counting_svd)
+        monkeypatch.setattr(design, "svd", counting_svd)
+        dm = balanced_2x2(reps=3)
+        x = np.random.default_rng(4).normal(size=(12, 5)).astype(complex)
+        permutation_test(x, dm, n_permutations=19, seed=1)
+        fit(x, dm)
+        assert calls == [dm.matrix.shape]
+
+    @pytest.mark.parametrize("call", [
+        lambda x, dm: fit(x, dm),
+        lambda x, dm: permutation_test(x, dm, n_permutations=9, seed=0),
+        lambda x, dm: _pcmr_test(x, dm, n_permutations=9, seed=0),
+    ], ids=["fit", "permutation_test", "pcmr_permutation_test"])
+    def test_rank_warning_points_at_the_caller(self, call):
+        dm = _rank_deficient_design()
+        x = np.random.default_rng(5).normal(size=(6, 3)).astype(complex)
+        with pytest.warns(RankWarning) as record:
+            call(x, dm)
+        rank_warnings = [w for w in record if issubclass(w.category, RankWarning)]
+        assert [w.filename for w in rank_warnings] == [__file__]
 
 
 def manual_decomposition(effect_ssq, nu1, resid_ssq, nu2):
@@ -267,8 +312,7 @@ class TestPermutationTest:
         x += 3.0  # a large mean makes the kernel's residual a difference
         perms = permute_rows(10, 200, seed=6)
         terms = dm.terms
-        f_kernel, _, _ = _kernel_f_ratios(x, dm, pinv(dm.matrix), terms,
-                                          10 - numerical_rank(dm.matrix), perms)
+        f_kernel, _, _ = _kernel_f_ratios(x, dm, terms, perms)
         for p, row in zip(perms, f_kernel):
             dec = fit(x[p], dm)
             refit = [f_ratio(dec, t) for t in terms]

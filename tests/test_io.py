@@ -66,6 +66,32 @@ class TestChromatograms:
             dataio.read_chromatograms(p)
 
 
+READERS = {
+    "chromatograms": (dataio.read_chromatograms, "sample,t0\ns1,1.5\n"),
+    "spectra": (dataio.read_complex_matrix, "sample,k0_re,k0_im\ns1,1.5,0\n"),
+    "metadata": (dataio.read_metadata, "sample,group\ns1,ctrl\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+class TestUndecodableInput:
+    def test_invalid_utf8_names_the_path(self, tmp_path, kind):
+        reader, text = READERS[kind]
+        p = tmp_path / "bad.csv"
+        p.write_bytes(text.encode("utf-8").replace(b"s1", b"s\xff1"))
+        with pytest.raises(ParseError, match="UTF-8") as err:
+            reader(p)
+        assert str(p) in str(err.value)
+
+    def test_blank_first_line_is_line_1(self, tmp_path, kind):
+        reader, _ = READERS[kind]
+        p = tmp_path / "blank.csv"
+        write(p, "\n\n")
+        with pytest.raises(ParseError) as err:
+            reader(p)
+        assert err.value.line == 1
+
+
 class TestMetadataAndJoin:
     def test_load_dataset(self, tmp_path):
         c, m = tmp_path / "c.csv", tmp_path / "m.csv"

@@ -1,17 +1,12 @@
 import numpy as np
 import pytest
 
-from fftasca.errors import DimensionMismatch
 from fftasca.linalg import (
-    add,
     as_complex_matrix,
     hermitian,
-    matmul,
     mean_center_columns,
     pinv,
-    scale,
     ssq,
-    sub,
     svd,
 )
 
@@ -137,26 +132,6 @@ class TestPinv:
 
 
 class TestArithmetic:
-    def test_matmul_identity(self):
-        rng = np.random.default_rng(7)
-        x = random_complex(rng, 3, 5)
-        assert np.allclose(matmul(np.eye(3), x), x, atol=0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-        with pytest.raises(DimensionMismatch):
-            add(np.ones((2, 3)), np.ones((3, 2)))
-        with pytest.raises(DimensionMismatch):
-            sub(np.ones((2, 3)), np.ones((2, 2)))
-
-    def test_add_sub_scale(self):
-        rng = np.random.default_rng(8)
-        a = random_complex(rng, 2, 2)
-        b = random_complex(rng, 2, 2)
-        assert np.allclose(sub(add(a, b), b), a, atol=1e-14)
-        assert np.allclose(scale(a, 2.0), 2 * a, atol=0)
-
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             as_complex_matrix(np.array([[np.nan, 1.0]]))
