@@ -152,9 +152,9 @@ def _parse_grid(token):
     return list(range(start, stop + 1, step))
 
 
-def _check_count(flag, n):
-    if n < 1:
-        raise ConfigInvalid(f"{flag} must be at least 1, got {n}")
+def _check_count(flag, n, least=1):
+    if n < least:
+        raise ConfigInvalid(f"{flag} must be at least {least}, got {n}")
 
 
 def _term_filename(term):
@@ -239,6 +239,7 @@ def _emit_term_artifacts(args, out_dir, term, decomp, spec, ids, source_len):
 
 def _cmd_analyze(args):
     _check_count("--permutations", args.permutations)
+    _check_count("--seed", args.seed, least=0)
     if not 0 < args.alpha < 1:
         raise ConfigInvalid(f"--alpha must lie in (0, 1), got {args.alpha}")
     if args.components is not None:
@@ -341,6 +342,7 @@ def _write_summary(args, out_dir, extra):
 def _cmd_simulate(args):
     _check_count("--permutations", args.permutations)
     _check_count("--trials", args.trials)
+    _check_count("--seed", args.seed, least=0)
     levels = _parse_grid(args.jitter_grid)
     config = SynthConfig(
         n_acquisitions=args.acquisitions,

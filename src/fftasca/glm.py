@@ -31,8 +31,16 @@ Missing values in peak tables are handled by permutational cell-mean
 replacement: every missing entry is imputed with the mean of the observed
 entries that currently share its design cell, and the imputation is redone
 inside every permutation iteration because the mask travels with the data
-rows while the design stays fixed.  Those permutations are refitted
-directly; an all-false mask takes the kernel path.
+rows while the design stays fixed.  Those permutations are not re-imputed
+and refitted either.  The design's columns are constant within a design
+cell, so the fit sees the imputed data only through its cell means, and
+imputation leaves every cell mean at the mean of the cell's observed
+entries (the grand mean where the cell observes nothing).  Each
+permutation's sums of squares are read off the cells x cells kernel of
+those means, from cell sums and counts that one matrix product gives for a
+whole chunk of permutations; the same near-tie guard sends doubtful
+permutations to a direct re-imputation and refit.  An all-false mask takes
+the sample-kernel path.
 """
 
 import math
@@ -73,6 +81,10 @@ KERNEL_TIE_REL = 1e-9
 
 # bytes of gathered kernel per chunk of permutations
 _KERNEL_CHUNK_BYTES = 4 << 20
+
+# bytes of per-chunk working set of the masked scorer; larger chunks raise
+# peak memory and gain no speed
+_CELL_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -138,10 +150,10 @@ def f_ratio(decomp, term):
     """F-ratio of one term: (effect ssq / nu1) / (residual ssq / nu2)."""
     effect = decomp.effect(term)
     res_ssq = ssq(decomp.residuals)
-    if res_ssq == 0.0:
-        raise ZeroResidual("residual sum of squares is zero (saturated model)")
-    nu1 = decomp.dof[term]
     nu2 = decomp.residual_dof
+    if res_ssq == 0.0 or nu2 == 0:
+        raise ZeroResidual("no residual sum of squares or degrees of freedom (saturated model)")
+    nu1 = decomp.dof[term]
     return (ssq(effect) / nu1) / (res_ssq / nu2)
 
 
@@ -294,35 +306,99 @@ def _count_at_or_above(f_perm, f_nominal):
     return int(np.count_nonzero(f_perm - f_nominal >= -tie))
 
 
+def _hat_matrices(dmatrix, tested):
+    """Stacked N x N ``H = A^T A`` of every tested term, ``A = D_t
+    pinv(D)_t``, then of the fitted part, ``A = D pinv(D)``."""
+    d, spans, proj = dmatrix.matrix, dmatrix.column_spans, dmatrix.pinv.real
+    blocks = [d[:, spans[t]] @ proj[spans[t]] for t in tested] + [d @ proj]
+    return np.stack([a.T @ a for a in blocks])
+
+
+def _f_ratios(ss, total, dmatrix, tested):
+    """F-ratios and residual sums of squares from the permuted sums of
+    squares of the tested terms and, in the last column, the fitted part."""
+    resid = total - ss[:, -1]
+    nu1 = np.array([dmatrix.dof[t] for t in tested], dtype=float)
+    nu2 = dmatrix.n_samples - dmatrix.rank
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = ss[:, :-1] / nu1 / (resid / nu2)[:, None]
+    return f, resid
+
+
 def _kernel_f_ratios(x, dmatrix, tested, perms):
     """F-ratio of every tested term under every permutation, read off the
     N x N kernel ``K = Re(X X^H)`` instead of refitting.
 
     A sum of squares is ``Tr(H K[p][:, p])`` under a row permutation ``p``,
-    with ``H = A^T A`` for ``A = D_t pinv(D)_t`` (a term) or ``A = D
-    pinv(D)`` (the fitted part), so every permutation costs one N x N
-    gather and one product with the stacked ``H``, whatever the signal
-    length.  Permutations go through in chunks of bounded memory.
+    with ``H`` from :func:`_hat_matrices`, so every permutation costs one
+    N x N gather and one product with the stacked ``H``, whatever the
+    signal length.  Permutations go through in chunks of bounded memory.
     Returns the (n_perms, n_tested) F-ratios, the residual sums of squares
     and the total sum of squares ``Tr(K)``.
     """
     n = x.shape[0]
-    d, spans, proj = dmatrix.matrix, dmatrix.column_spans, dmatrix.pinv.real
-    blocks = [d[:, spans[t]] @ proj[spans[t]] for t in tested] + [d @ proj]
-    hats = np.stack([a.T @ a for a in blocks]).reshape(len(blocks), n * n)
+    hats = _hat_matrices(dmatrix, tested).reshape(-1, n * n)
     kernel = x.real @ x.real.T + x.imag @ x.imag.T
-    ss = np.empty((perms.shape[0], len(blocks)))
+    ss = np.empty((perms.shape[0], hats.shape[0]))
     step = max(1, _KERNEL_CHUNK_BYTES // (kernel.itemsize * n * n))
     for start in range(0, perms.shape[0], step):
         p = perms[start:start + step]
         gathered = kernel[p[:, :, None], p[:, None, :]].reshape(p.shape[0], n * n)
         ss[start:start + step] = gathered @ hats.T
     total = float(np.trace(kernel))
-    resid = total - ss[:, -1]
-    nu1 = np.array([dmatrix.dof[t] for t in tested], dtype=float)
-    nu2 = n - dmatrix.rank
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = ss[:, :-1] / nu1 / (resid / nu2)[:, None]
+    f, resid = _f_ratios(ss, total, dmatrix, tested)
+    return f, resid, total
+
+
+def _cell_kernel_f_ratios(x, mask, dmatrix, tested, perms, grand):
+    """F-ratio of every tested term under every permutation with cell-mean
+    replacement of the masked entries, without imputing or refitting.
+
+    The design's columns are constant within a design cell, so
+    ``pinv(D) Y = pinv(D) Ind mu`` for the N x C cell indicator ``Ind``
+    and the C x M cell means ``mu`` of ``Y``.  Imputation leaves each cell
+    mean at the mean of the cell's observed entries, or at the grand mean
+    where the cell observes nothing.  A sum of squares is therefore
+    ``<Ind^T H Ind, Re(mu mu^H)>`` with ``H`` from :func:`_hat_matrices`,
+    and the total is ``sum |observed|^2 + sum (n_c - K) |mu|^2`` for the
+    observed count ``K`` of each cell and variable.  One product of a
+    chunk's (b*C, N) row-to-cell assignment with the fixed observed data
+    and observed counts gives every permuted cell sum and count.
+    Returns the F-ratios, the residual and the total sums of squares, one
+    per permutation.
+    """
+    n, m = x.shape
+    cells = dmatrix.cell_ids
+    n_cells = len(dmatrix.cell_rows)
+    ind = np.zeros((n, n_cells))
+    ind[np.arange(n), cells] = 1.0
+    hats = (ind.T @ _hat_matrices(dmatrix, tested) @ ind).reshape(-1, n_cells * n_cells)
+    observed = np.where(mask, 0.0, x)
+    parts = [observed.real, observed.imag] if observed.imag.any() else [observed.real]
+    k = len(parts)
+    fixed = np.hstack(parts + [(~mask).astype(float)])
+    grand_parts = np.stack([grand.real, grand.imag][:k])
+    sizes = ind.sum(axis=0)[:, None]
+    observed_ssq = _total_ssq(observed)
+    # per permutation: the assignment, cell sums and counts, means, and
+    # the imputed counts and squared means that weight them
+    step = max(1, _CELL_CHUNK_BYTES // (8 * n_cells * (n + (3 * k + 2) * m)))
+    ss = np.empty((perms.shape[0], hats.shape[0]))
+    total = np.empty(perms.shape[0])
+    for start in range(0, perms.shape[0], step):
+        p = perms[start:start + step]
+        b = p.shape[0]
+        assign = np.zeros((b, n_cells, n))
+        assign[np.arange(b)[:, None], cells, p] = 1.0
+        sums = (assign.reshape(b * n_cells, n) @ fixed).reshape(b, n_cells, k + 1, m)
+        counts = sums[:, :, k:]
+        mu = np.broadcast_to(grand_parts, (b, n_cells, k, m)).copy()
+        np.divide(sums[:, :, :k], counts, out=mu, where=counts > 0)
+        total[start:start + b] = observed_ssq + np.einsum(
+            "bcm,bckm->b", sizes - counts[:, :, 0], mu * mu)
+        mu = mu.reshape(b, n_cells, k * m)
+        ss[start:start + b] = (mu @ mu.transpose(0, 2, 1)).reshape(b, -1) @ hats.T
+    f, resid = _f_ratios(ss, total, dmatrix, tested)
     return f, resid, total
 
 
@@ -390,8 +466,8 @@ def _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask):
 
     x0 = x if mask is None else impute_cell_means(x, mask, dmatrix, warn_empty=True)
     total0, mean0, term_ssq0, resid0 = stats(x0)
-    if resid0 == 0.0:
-        raise ZeroResidual("residual sum of squares is zero (saturated model)")
+    if resid0 == 0.0 or nu2 == 0:
+        raise ZeroResidual("no residual sum of squares or degrees of freedom (saturated model)")
     f_nominal = {
         t: (term_ssq0[t] / dmatrix.dof[t]) / (resid0 / nu2) for t in all_terms
     }
@@ -407,14 +483,14 @@ def _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask):
 
     if mask is None:
         f_perm, resid, total = _kernel_f_ratios(x, dmatrix, tested, perms)
-        f_nom = np.array([f_nominal[t] for t in tested])
-        near = _needs_refit(f_perm, resid, total, f_nom, tested_dof, nu2)
-        for i in np.flatnonzero(near):
-            f_perm[i] = refit_f(x[perms[i]])
     else:
-        f_perm = np.empty((n_eff, len(tested)))
-        for i, p in enumerate(perms):
-            f_perm[i] = refit_f(_impute(x[p], mask[p], dmatrix.cell_rows, grand))
+        f_perm, resid, total = _cell_kernel_f_ratios(x, mask, dmatrix, tested, perms, grand)
+    f_nom = np.array([f_nominal[t] for t in tested])
+    near = _needs_refit(f_perm, resid, total, f_nom, tested_dof, nu2)
+    for i in np.flatnonzero(near):
+        p = perms[i]
+        xp = x[p] if mask is None else _impute(x[p], mask[p], dmatrix.cell_rows, grand)
+        f_perm[i] = refit_f(xp)
 
     p_values = {}
     for j, t in enumerate(tested):
@@ -427,8 +503,7 @@ def _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask):
         nu1 = dmatrix.dof[t]
         rows.append(AnovaRow(t, s, 100.0 * s / total0, nu1, s / nu1,
                              f=f_nominal[t], p_value=p_values.get(t)))
-    rows.append(AnovaRow("Residuals", resid0, 100.0 * resid0 / total0,
-                         nu2, resid0 / nu2 if nu2 > 0 else 0.0))
+    rows.append(AnovaRow("Residuals", resid0, 100.0 * resid0 / total0, nu2, resid0 / nu2))
     rows.append(AnovaRow("Total", total0, 100.0, n, total0 / n))
     return AnovaTable(rows=tuple(rows), n_permutations=n_eff)
 
@@ -450,7 +525,10 @@ def pcmr_permutation_test(x, mask, dmatrix, terms=None, n_permutations=1000, see
 
     The mask travels with the permuted rows while the design stays fixed,
     so every iteration re-imputes each missing entry with the mean of the
-    observed entries currently occupying its design cell.  With an
-    all-false mask the result is identical to :func:`permutation_test`.
+    observed entries currently occupying its design cell.  The permuted
+    F-ratios are read off the kernel of the permuted cell means (see the
+    module docstring) and give the counts of re-imputing and refitting
+    every permutation.  With an all-false mask the result is identical to
+    :func:`permutation_test`.
     """
     return _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask=mask)

@@ -8,7 +8,7 @@ import pytest
 
 import fftasca
 from fftasca import io as dataio
-from fftasca.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, run_pipeline
+from fftasca.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, run_pipeline
 from fftasca.design import DesignSpec, encode
 from fftasca.glm import pcmr_permutation_test, zeros_to_missing
 from fftasca.synth import SynthConfig, generate
@@ -286,6 +286,26 @@ class TestBoundaryErrors:
         assert run("simulate", "--trials", trials, "--jitter-grid", "0:10:0",
                    "--out-dir", out) == EXIT_CONFIG
         assert "--trials" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_negative_seed_is_config_error(self, fixture_files, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = (("analyze", *fixture_files, "--domain", "time", "--permutations", "5",
+                 "--seed", "-1") if command == "analyze"
+                else ("simulate", "--jitter-grid", "0:10:0", "--trials", "1",
+                      "--permutations", "5", "--seed", "-3"))
+        assert run(*argv, "--out-dir", out) == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_residual_dof_is_numeric_error(self, tmp_path, capsys):
+        # one replicate per level: two samples, rank 2, a rounding-only residual
+        out = tmp_path / "sim"
+        assert run("simulate", "--trials", "1", "--jitter-grid", "0:10:0",
+                   "--permutations", "5", "--replicates", "1",
+                   "--out-dir", out) == EXIT_NUMERIC
+        assert "saturated" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, bad", [

@@ -22,7 +22,7 @@ from fftasca.glm import (
     permutation_test,
     zeros_to_missing,
 )
-from fftasca.glm import _kernel_f_ratios
+from fftasca.glm import _cell_kernel_f_ratios, _grand_means, _impute, _kernel_f_ratios
 from fftasca.linalg import ssq
 from fftasca.spectral import transform_rows
 
@@ -186,6 +186,13 @@ class TestFRatio:
         with pytest.raises(ZeroResidual):
             f_ratio(dec, "g")
 
+    def test_no_residual_dof_raises(self):
+        # one sample per level: the residual is rounding, with nu2 = 0
+        x = np.random.default_rng(0).normal(size=(2, 5)) + 3.0
+        dm = one_factor(1)
+        with pytest.raises(ZeroResidual):
+            f_ratio(fit(x, dm), "g")
+
     def test_unknown_term(self):
         dec = manual_decomposition(1.0, 1, 1.0, 1)
         with pytest.raises(UnknownTerm):
@@ -226,6 +233,16 @@ def oracle_f_two_level(x, labels, nu2=None):
 
 
 class TestPermutationTest:
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_no_residual_dof_in_permutation_test_raises(self, masked):
+        x = np.random.default_rng(0).normal(size=(2, 5)) + 3.0
+        dm = one_factor(1)
+        with pytest.raises(ZeroResidual):
+            if masked:
+                pcmr_permutation_test(x, x < 2.5, dm, n_permutations=5)
+            else:
+                permutation_test(x, dm, n_permutations=5)
+
     def test_determinism(self):
         rng = np.random.default_rng(8)
         dm = one_factor(4)
@@ -432,6 +449,27 @@ class TestPcmr:
         with pytest.warns(UserWarning, match="grand mean"):
             imputed = impute_cell_means(values.astype(complex), mask, dm)
         assert imputed[0, 0].real == pytest.approx(3.0)  # mean of {2, 4}
+
+    def test_cell_kernel_f_matches_reimputed_refit_for_every_permutation(self):
+        rng = np.random.default_rng(23)
+        a = Factor.from_labels("a", [0, 0, 0, 0, 1, 1, 1, 2, 2, 2])
+        b = Factor.from_labels("b", [0, 1, 0, 1, 0, 1, 1, 0, 1, 1])
+        with pytest.warns(UnbalancedDesignWarning):
+            dm = encode(DesignSpec(factors=(a, b), interactions=((0, 1),)))
+        x = rng.normal(size=(10, 40)) + 1j * rng.normal(size=(10, 40)) + 3.0
+        mask = rng.random(size=x.shape) < 0.3
+        mask[:, 7] = True  # a variable observed nowhere
+        mask[dm.cell_rows[0], 5] = True  # a cell with nothing observed
+        grand = _grand_means(x, mask)
+        perms = permute_rows(10, 200, seed=6)
+        terms = dm.terms
+        f_cell, resid, total = _cell_kernel_f_ratios(x, mask, dm, terms, perms, grand)
+        for p, row, r, tot in zip(perms, f_cell, resid, total):
+            y = _impute(x[p], mask[p], dm.cell_rows, grand)
+            dec = fit(y, dm)
+            assert row == pytest.approx([f_ratio(dec, t) for t in terms], rel=1e-9)
+            assert r == pytest.approx(ssq(dec.residuals), rel=1e-9)
+            assert tot == pytest.approx(ssq(y), rel=1e-12)
 
     def test_mask_shape_must_match(self):
         dm = one_factor(2)

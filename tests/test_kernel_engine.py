@@ -1,9 +1,11 @@
 """The kernel permutation engine against the refit-per-permutation oracle.
 
 ``loop_oracle.loop_permutation_test`` refits the model under every
-permutation; the engine in ``fftasca.glm`` reads permuted F-ratios off one
-N x N kernel and refits only near-ties.  Their tables must be equal
-exactly: same nominal rows, same p-values, same permutation count.
+permutation, re-imputing masked entries first; the engine in
+``fftasca.glm`` reads permuted F-ratios off one N x N kernel (or, with
+missing entries, off the kernel of the permuted cell means) and refits
+only near-ties.  Their tables must be equal exactly: same nominal rows,
+same p-values, same permutation count.
 """
 
 import math
@@ -97,6 +99,34 @@ def test_kernel_engine_equals_refit_oracle(kind, data):
     assert got == expected
     if kind == "exhaustive":
         assert got.n_permutations == math.factorial(dm.n_samples) - 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(data=st.data())
+def test_masked_scorer_equals_refit_oracle(kind, data):
+    spec, x, n_perm, seed = data.draw(cases(kind))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(size=x.shape) < data.draw(st.floats(0.05, 0.6))
+    mask.flat[data.draw(st.integers(0, mask.size - 1))] = True
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dm = encode(spec)
+        if numerical_rank(dm.matrix) >= dm.n_samples:
+            return  # saturated: no residual to test against
+        if data.draw(st.booleans()):  # a cell with nothing observed in a column
+            rows = dm.cell_rows[data.draw(st.integers(0, len(dm.cell_rows) - 1))]
+            mask[rows, data.draw(st.integers(0, x.shape[1] - 1))] = True
+        try:
+            expected = loop_permutation_test(x, dm, n_permutations=n_perm, seed=seed,
+                                             mask=mask)
+        except ZeroResidual:
+            with pytest.raises(ZeroResidual):
+                pcmr_permutation_test(x, mask, dm, n_permutations=n_perm, seed=seed)
+            return
+        got = pcmr_permutation_test(x, mask, dm, n_permutations=n_perm, seed=seed)
+    assert got == expected
 
 
 def test_pcmr_loop_equals_refit_oracle():
