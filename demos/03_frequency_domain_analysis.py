@@ -41,8 +41,11 @@ table = permutation_test(spectra.values, dmatrix, n_permutations=999, seed=3)
 print(table.to_text())
 
 effect = fit(spectra.values, dmatrix)
-n_comp = default_components(effect.effect("group"), cap=max(effect.dof["group"], 1))
-model = sca_fit(effect.effect("group"), effect.residuals, n_comp, term="group")
+# the effect has one distinct row per level: the SVD runs on those rows only
+rows = effect.distinct_rows("group")
+n_comp = default_components(effect.effect("group"), cap=max(effect.dof["group"], 1),
+                            rows=rows)
+model = sca_fit(effect.effect("group"), effect.residuals, n_comp, term="group", rows=rows)
 print(f"component model: {n_comp} component(s), "
       f"explained ssq {model.explained_ssq.round(1)}")
 

@@ -189,10 +189,10 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _write_pair(out_dir, name, columns, values, series, row_ids=None, **svg):
+def _write_pair(out_dir, name, columns, values, series, row_ids=None, rows=None, **svg):
     """Write ``values`` to ``name.csv``, then ``series`` plotted to ``name.svg``."""
     path = os.path.join(out_dir, name)
-    dataio.write_real_matrix_csv(f"{path}.csv", columns, values, row_ids=row_ids)
+    dataio.write_real_matrix_csv(f"{path}.csv", columns, values, row_ids=row_ids, rows=rows)
     _write_text(f"{path}.svg", plots.emit_svg(series, **svg))
 
 
@@ -202,8 +202,9 @@ def _write_anova(out_dir, name, table):
 
 
 def _emit_term_artifacts(args, out_dir, term, decomp, spec, ids, source_len):
+    rows = decomp.distinct_rows(term)
     model = sca_fit(decomp.effect(term), decomp.residuals, args.components, term=term,
-                    cap=max(decomp.dof[term], 1))
+                    cap=max(decomp.dof[term], 1), rows=rows)
     n_comp = model.n_components
     stem = _term_filename(term)
     pcs = [f"pc{r + 1}" for r in range(n_comp)]
@@ -226,13 +227,12 @@ def _emit_term_artifacts(args, out_dir, term, decomp, spec, ids, source_len):
                 title=f"{title}: {term}", x_label=x_label, y_label="loading")
 
     if args.domain == "freq":
-        effect = effect_to_time(decomp, term).effect_time
-        level_means = {}
-        for lab in sorted(set(labels)):
-            idx = [i for i, v in enumerate(labels) if v == lab]
-            level_means[lab] = effect[idx].mean(axis=0)
-        _write_pair(out_dir, f"effect_time_{stem}", [f"t{j}" for j in range(effect.shape[1])],
-                    effect, level_means, row_ids=ids, kind="line",
+        # every sample of a level has its level's row: write and plot the distinct rows
+        levels = effect_to_time(decomp, term).effect_time[rows.first]
+        level_traces = {lab: levels[rows.inverse[labels.index(lab)]]
+                        for lab in sorted(set(labels))}
+        _write_pair(out_dir, f"effect_time_{stem}", [f"t{j}" for j in range(levels.shape[1])],
+                    levels, level_traces, row_ids=ids, rows=rows.inverse, kind="line",
                     title=f"time-domain effect: {term}", x_label="acquisition",
                     y_label="intensity")
 
@@ -279,6 +279,11 @@ def _cmd_analyze(args):
         fitted_input = data
 
     sys.stdout.write(table.to_text())
+    floor = 1 / (table.n_permutations + 1)
+    if floor > args.alpha:
+        sys.stderr.write(
+            f"warning: the smallest p {table.n_permutations} permutations can give is "
+            f"{floor:.4g} > --alpha {args.alpha:g}; no term can be significant\n")
 
     if args.out_dir is None:
         return EXIT_OK

@@ -24,6 +24,7 @@ __all__ = [
     "Factor",
     "DesignSpec",
     "DesignMatrix",
+    "DistinctRows",
     "encode",
     "is_balanced",
     "permute_rows",
@@ -111,6 +112,34 @@ def _coding_columns(labels):
 
 
 @dataclass(frozen=True)
+class DistinctRows:
+    """Distinct-row index of an N-row matrix with U distinct rows.
+
+    Row ``i`` equals distinct row ``inverse[i]``; distinct row ``k`` first
+    occurs at row ``first[k]`` and occurs ``counts[k]`` times.  With the
+    N x U indicator ``G`` of ``inverse`` the matrix is ``G @ matrix[first]``
+    and ``G^T G = diag(counts)``.
+    """
+
+    first: np.ndarray
+    inverse: np.ndarray
+    counts: np.ndarray
+
+    @staticmethod
+    def of(matrix):
+        """Index of the exactly equal rows of ``matrix``."""
+        _, first, inverse, counts = np.unique(
+            matrix, axis=0, return_index=True, return_inverse=True, return_counts=True)
+        return DistinctRows(first=first, inverse=inverse.reshape(-1), counts=counts)
+
+    @staticmethod
+    def all_distinct(n):
+        """Index of an n-row matrix taken as having no repeated rows."""
+        rows = np.arange(n)
+        return DistinctRows(first=rows, inverse=rows, counts=np.ones(n, dtype=np.intp))
+
+
+@dataclass(frozen=True)
 class DesignMatrix:
     """Encoded design: the N x F coding matrix plus term bookkeeping.
 
@@ -160,6 +189,16 @@ class DesignMatrix:
         """Row indices of each cell, indexed by cell id."""
         return tuple(np.flatnonzero(self.cell_ids == c)
                      for c in range(int(self.cell_ids.max()) + 1))
+
+    @functools.cached_property
+    def distinct_rows(self):
+        """:class:`DistinctRows` of each term's coding columns, by term.
+
+        A term's effect ``D_t theta_t`` repeats a row wherever ``D_t``
+        does, so the index describes the effect as well: one distinct row
+        per level for a factor, at most one per cell for an interaction.
+        """
+        return {t: DistinctRows.of(self.columns_for(t)) for t in self.terms}
 
 
 def encode(spec):

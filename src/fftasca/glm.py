@@ -45,11 +45,11 @@ the sample-kernel path.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import MEAN_TERM, permute_rows
+from .design import MEAN_TERM, DistinctRows, permute_rows
 from .errors import (
     DimensionMismatch,
     EmptyCellWarning,
@@ -89,7 +89,11 @@ _CELL_CHUNK_BYTES = 1 << 18
 
 @dataclass(frozen=True)
 class GlmDecomposition:
-    """Fitted model: coefficients, per-term effect matrices and residuals."""
+    """Fitted model: coefficients, per-term effect matrices and residuals.
+
+    ``term_rows`` maps a term to the :class:`~fftasca.design.DistinctRows`
+    of its effect, as :func:`fit` takes them from the design.
+    """
 
     theta_hat: np.ndarray
     effects: dict
@@ -97,12 +101,19 @@ class GlmDecomposition:
     dof: dict
     residual_dof: int
     grand_mean_row: np.ndarray
+    term_rows: dict = field(default_factory=dict, repr=False)
 
     def effect(self, term):
         try:
             return self.effects[term]
         except KeyError:
             raise UnknownTerm(f"no term '{term}' in this fit") from None
+
+    def distinct_rows(self, term):
+        """Distinct-row index of one effect; a term without a recorded
+        index counts every row as distinct."""
+        n = self.effect(term).shape[0]
+        return self.term_rows.get(term) or DistinctRows.all_distinct(n)
 
 
 def _check_design(x, dmatrix, stacklevel):
@@ -143,6 +154,7 @@ def fit(x, dmatrix):
         dof={t: dmatrix.dof[t] for t in dmatrix.terms},
         residual_dof=x.shape[0] - dmatrix.rank,
         grand_mean_row=theta[dmatrix.column_spans[MEAN_TERM]].copy(),
+        term_rows=dmatrix.distinct_rows,
     )
 
 
@@ -277,17 +289,23 @@ def impute_cell_means(x, mask, dmatrix, warn_empty=True):
     if x.shape[0] != dmatrix.n_samples:
         raise DimensionMismatch("data rows do not match the design")
     if warn_empty:
-        for c, rows in enumerate(dmatrix.cell_rows):
-            empty = (~mask[rows]).sum(axis=0) == 0
-            if mask[rows].any() and empty.any():
-                cols = np.flatnonzero(empty)
-                warnings.warn(
-                    f"cell {c} has no observed value for variable(s) "
-                    f"{cols.tolist()[:5]}; using the grand mean",
-                    EmptyCellWarning,
-                    stacklevel=2,
-                )
+        _warn_empty_cells(mask, dmatrix, stacklevel=2)
     return _impute(x, mask, dmatrix.cell_rows, _grand_means(x, mask))
+
+
+def _warn_empty_cells(mask, dmatrix, stacklevel):
+    """Warn for each cell that imputes a variable it never observes,
+    ``stacklevel`` frames up as for :func:`warnings.warn`."""
+    for c, rows in enumerate(dmatrix.cell_rows):
+        empty = (~mask[rows]).sum(axis=0) == 0
+        if mask[rows].any() and empty.any():
+            cols = np.flatnonzero(empty)
+            warnings.warn(
+                f"cell {c} has no observed value for variable(s) "
+                f"{cols.tolist()[:5]}; using the grand mean",
+                EmptyCellWarning,
+                stacklevel=stacklevel + 1,
+            )
 
 
 def _gram_ssq(theta, gram):
@@ -464,7 +482,11 @@ def _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask):
             return np.inf
         return np.array([per_term[t] for t in tested]) / tested_dof / (resid / nu2)
 
-    x0 = x if mask is None else impute_cell_means(x, mask, dmatrix, warn_empty=True)
+    if mask is None:
+        x0 = x
+    else:
+        _warn_empty_cells(mask, dmatrix, stacklevel=3)
+        x0 = _impute(x, mask, dmatrix.cell_rows, grand)
     total0, mean0, term_ssq0, resid0 = stats(x0)
     if resid0 == 0.0 or nu2 == 0:
         raise ZeroResidual("no residual sum of squares or degrees of freedom (saturated model)")

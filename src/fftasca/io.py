@@ -106,16 +106,27 @@ def _id_cell(sid, width):
     return buf.getvalue()[:-2]
 
 
-def _write_float_rows(path, header, values, ids=None):
-    """Write ``header``, then one ``%.17g``-template line per row, led by its id."""
+def _write_float_rows(path, header, values, ids=None, rows=None):
+    """Write ``header``, then one ``%.17g``-template line per row, led by its id.
+
+    Line ``i`` holds ``values[rows[i]]``; ``rows`` defaults to each row of
+    ``values`` once.  Each row is formatted once, and its text is kept
+    only until its last line, so a matrix of distinct rows streams.
+    """
     values = np.asarray(values, dtype=float)
+    rows = range(values.shape[0]) if rows is None else np.asarray(rows).tolist()
     width = values.shape[1]
     fmt = ",".join(["%.17g"] * width) + "\r\n"
+    last = {k: i for i, k in enumerate(rows)}
+    texts = {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         leads = itertools.repeat("") if ids is None else (_id_cell(s, width) for s in ids)
-        for lead, row in zip(leads, values):
-            fh.write(lead + fmt % tuple(row.tolist()))
+        for i, (lead, k) in enumerate(zip(leads, rows)):
+            text = texts.pop(k, None) or fmt % tuple(values[k].tolist())
+            if last[k] > i:
+                texts[k] = text
+            fh.write(lead + text)
 
 
 def read_chromatograms(path):
@@ -210,10 +221,14 @@ def read_complex_matrix(path):
     return ids, values.view(np.complex128)
 
 
-def write_real_matrix_csv(path, column_names, values, row_ids=None):
-    """Generic real matrix with named columns (scores, loadings, views)."""
+def write_real_matrix_csv(path, column_names, values, row_ids=None, rows=None):
+    """Generic real matrix with named columns (scores, loadings, views).
+
+    With ``rows``, ``values`` holds distinct rows and line ``i`` of the
+    file is ``values[rows[i]]``.
+    """
     header = list(column_names) if row_ids is None else ["sample", *column_names]
-    _write_float_rows(path, header, values, row_ids)
+    _write_float_rows(path, header, values, row_ids, rows)
 
 
 def write_anova_csv(path, table):

@@ -2,7 +2,23 @@
 
 Each effect matrix factorizes through its thin SVD into scores ``T`` and
 orthonormal loadings ``P`` with ``T @ P^H`` reconstructing the effect, and
-the residual-augmented scores are the projection ``(effect + residuals) @ P``.
+the residual-augmented scores are the projection ``(effect + residuals) @ P``,
+computed as ``T + residuals @ P`` because ``effect @ P = T``.
+
+The SVD is taken in level space.  A term's effect ``D_t theta_t`` repeats
+a row wherever the coding rows ``D_t`` repeat, so it is ``G Phi`` for its
+U distinct rows ``Phi`` (one per factor level, at most one per cell for an
+interaction) and the N x U indicator ``G`` with ``G^T G = diag(c)`` for
+the row counts ``c``.  If ``diag(sqrt(c)) Phi = U' S V'^H``, then the
+effect is ``(G diag(c)^-1/2 U') S V'^H`` with orthonormal left factor: the
+loadings are ``V'``, the scores ``G diag(c)^-1/2 U' S``, and the singular
+values those of the effect, at the cost of a U x M SVD instead of an
+N x M one (Smilde et al. 2005; Jansen et al. 2005).  The rank tolerance
+still uses the full N x M shape.  The two factorizations agree in exact
+arithmetic only, so scores and loadings can differ from those of the full
+SVD in the last bits; the components, their order and their phases do not
+change.  A matrix passed without a distinct-row index is taken to have
+no repeated rows, which is the same computation with ``c = 1``.
 
 Complex singular vectors are only defined up to a unit phase per component,
 so loadings are canonicalized: if a loading column equals its reversed
@@ -18,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .design import DistinctRows
 from .errors import DimensionMismatch, LengthMismatch, RankExceeded
 from .linalg import as_complex_matrix, rank_from_singular_values, svd
 from .spectral import SpectrumMatrix, dft_inverse, inverse_rows, reversed_conjugate
@@ -91,13 +108,23 @@ def _canonical_phase(column):
     return phase
 
 
-def sca_fit(effect, residuals, n_components=None, term="", cap=None):
+def _level_svd(effect, rows):
+    """SVD of ``diag(sqrt(c)) Phi`` for the distinct rows ``Phi`` of
+    ``effect`` and their counts ``c``, with those square roots."""
+    weights = np.sqrt(rows.counts)
+    return svd(effect[rows.first] * weights[:, None]), weights
+
+
+def sca_fit(effect, residuals, n_components=None, term="", cap=None, rows=None):
     """Fit a component model of an effect matrix.
 
     ``n_components`` must lie in ``1..rank(effect)``.  ``None`` picks the
     count :func:`default_components` would pick with the given ``cap``,
-    from the same SVD the fit uses.  With zero residuals the projected
-    scores equal the scores exactly.
+    from the same SVD the fit uses.  ``rows`` is the effect's
+    :class:`~fftasca.design.DistinctRows`, as
+    ``GlmDecomposition.distinct_rows(term)`` gives it; ``None`` takes
+    every row as distinct.  With zero residuals the projected scores equal
+    the scores exactly.
     """
     effect = as_complex_matrix(effect, "effect")
     residuals = as_complex_matrix(residuals, "residuals")
@@ -105,7 +132,8 @@ def sca_fit(effect, residuals, n_components=None, term="", cap=None):
         raise DimensionMismatch(
             f"effect {effect.shape} and residuals {residuals.shape} differ"
         )
-    res = svd(effect)
+    rows = _rows_of(effect, rows)
+    res, weights = _level_svd(effect, rows)
     rank = rank_from_singular_values(res.s, effect.shape)
     if n_components is None:
         n_components = _component_count(res.s, rank, rank if cap is None else cap)
@@ -116,28 +144,42 @@ def sca_fit(effect, residuals, n_components=None, term="", cap=None):
             f"{n_components} components requested but the effect has rank {rank}"
         )
     loadings = res.v[:, :n_components].copy()
-    scores = (res.u[:, :n_components] * res.s[:n_components]).copy()
+    level_scores = res.u[:, :n_components] * res.s[:n_components] / weights[:, None]
     for r in range(n_components):
         phase = _canonical_phase(loadings[:, r])
         loadings[:, r] *= phase
-        scores[:, r] *= phase
-    projected = (effect + residuals) @ loadings
+        level_scores[:, r] *= phase
+    scores = level_scores[rows.inverse]
     return ScaModel(
         term=term,
         n_components=n_components,
         scores=scores,
-        projected_scores=projected,
+        projected_scores=scores + residuals @ loadings,
         loadings=loadings,
         explained_ssq=(res.s[:n_components] ** 2).copy(),
     )
 
 
-def default_components(effect, cap, threshold=0.95):
+def default_components(effect, cap, threshold=0.95, rows=None):
     """Smallest component count explaining ``threshold`` of the effect ssq,
-    capped at ``cap`` and at the matrix rank."""
+    capped at ``cap`` and at the matrix rank.  ``rows`` is as for
+    :func:`sca_fit`."""
     effect = as_complex_matrix(effect, "effect")
-    s = svd(effect).s
+    s = _level_svd(effect, _rows_of(effect, rows))[0].s
     return _component_count(s, rank_from_singular_values(s, effect.shape), cap, threshold)
+
+
+def _rows_of(effect, rows):
+    """``rows``, or every row of ``effect`` distinct; it must index all of
+    the effect's rows."""
+    if rows is None:
+        return DistinctRows.all_distinct(effect.shape[0])
+    if rows.inverse.shape != (effect.shape[0],):
+        raise DimensionMismatch(
+            f"distinct-row index covers {rows.inverse.size} rows, "
+            f"the effect has {effect.shape[0]}"
+        )
+    return rows
 
 
 def _component_count(s, rank, cap, threshold=0.95):
@@ -170,16 +212,18 @@ def loadings_to_time(model, source_length):
 def effect_to_time(decomp, term, include_mean=False):
     """Inverse-transform one fitted effect matrix back to the time domain.
 
-    With ``include_mean`` the grand-mean row is added to every sample row
-    first, which places the level traces on the original intensity scale.
+    Only the effect's distinct rows are transformed; each sample row is
+    then gathered from them.  With ``include_mean`` the grand-mean row is
+    added to every row first, which places the level traces on the
+    original intensity scale.
     """
-    effect = decomp.effect(term)
-    values = effect
+    rows = decomp.distinct_rows(term)
+    values = decomp.effect(term)[rows.first]
     if include_mean:
-        values = effect + decomp.grand_mean_row
+        values = values + decomp.grand_mean_row
     time = inverse_rows(SpectrumMatrix(values=values, source_length=values.shape[1]))
     residue = float(np.max(np.abs(time.imag))) if time.size else 0.0
-    return TimeDomainView(effect_time=time.real.copy(), imag_residue=residue)
+    return TimeDomainView(effect_time=time.real[rows.inverse], imag_residue=residue)
 
 
 def real_scores(model):

@@ -161,6 +161,20 @@ class TestAnalyze:
         assert (out / "anova_trimmed.csv").read_text(encoding="utf-8") == expected.to_csv()
         assert (out / "anova_trimmed.txt").read_text(encoding="utf-8") == expected.to_text()
 
+    @pytest.mark.parametrize("permutations, alpha, warned", [
+        (10, 0.05, True), (19, 0.05, False), (999, 0.001, False), (998, 0.001, True)])
+    def test_warns_when_alpha_is_below_the_p_floor(self, fixture_files, tmp_path, capsys,
+                                                   permutations, alpha, warned):
+        out = tmp_path / "out"
+        assert run("analyze", *fixture_files, "--domain", "time",
+                   "--permutations", permutations, "--alpha", alpha,
+                   "--out-dir", out, "--no-timestamp") == EXIT_OK
+        err = capsys.readouterr().err
+        assert (f"smallest p {permutations} permutations can give" in err) == warned
+        assert ("no term can be significant" in err) == warned
+        summary = (out / "summary.txt").read_text(encoding="utf-8")
+        assert ("significant: (none)" in summary) == warned
+
     def test_trim_with_nothing_significant_says_so(self, peak_table, tmp_path, capsys):
         out = tmp_path / "out"
         # 20 permutations cannot reach a p below 1/21 > alpha
@@ -358,6 +372,118 @@ class TestBoundaryErrors:
                 "impute": (fixture_files[1], *out)}[command]
         assert run(command, chrom, *argv) == EXIT_DATA
         assert "line 3, column 4" in capsys.readouterr().err
+
+
+def _edited(path, tmp, name, edit):
+    """Copy of the text file ``path`` under ``tmp`` with ``edit`` applied."""
+    out = tmp / name
+    out.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    return out
+
+
+def _raw(tmp, name, data):
+    """File ``name`` under ``tmp`` holding the bytes ``data``."""
+    out = tmp / name
+    out.write_bytes(data)
+    return out
+
+
+def _second_line_cell(text, token):
+    """``text`` with the second field of its second line replaced by ``token``."""
+    lines = text.split("\n")
+    cells = lines[1].split(",")
+    lines[1] = ",".join([cells[0], token, *cells[2:]])
+    return "\n".join(lines)
+
+
+def _one_level(text):
+    """Metadata ``text`` with every sample in the same group."""
+    header, *lines = text.strip().split("\n")
+    return "\n".join([header, *(line.split(",")[0] + ",same" for line in lines)]) + "\n"
+
+
+def _failing_svd(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+# One row per error class of the README's exit-code table:
+# (id, argv from (chromatograms, metadata, tmp dir), exit code, message text)
+EXIT_TABLE = [
+    ("unknown flag", lambda c, m, t: ("analyze", c, m, "--no-such-flag"),
+     EXIT_CONFIG, "unrecognized arguments"),
+    ("bad choice", lambda c, m, t: ("analyze", c, m, "--domain", "wavelet"),
+     EXIT_CONFIG, "invalid choice"),
+    ("permutations below one", lambda c, m, t: ("analyze", c, m, "--permutations", "0"),
+     EXIT_CONFIG, "--permutations"),
+    ("trials below one", lambda c, m, t: ("simulate", "--trials", "0", "--out-dir", t / "s"),
+     EXIT_CONFIG, "--trials"),
+    ("components below one", lambda c, m, t: ("analyze", c, m, "--components", "0"),
+     EXIT_CONFIG, "--components"),
+    ("negative seed", lambda c, m, t: ("analyze", c, m, "--seed", "-1"),
+     EXIT_CONFIG, "--seed"),
+    ("alpha outside (0, 1)", lambda c, m, t: ("analyze", c, m, "--alpha", "1.5"),
+     EXIT_CONFIG, "--alpha"),
+    ("invalid generator settings", lambda c, m, t: (
+        "simulate", "--peaks", "2", "--significant", "3", "--out-dir", t / "s"),
+     EXIT_CONFIG, "n_significant"),
+    ("bad jitter grid", lambda c, m, t: ("simulate", "--jitter-grid", "5", "--out-dir", t),
+     EXIT_CONFIG, "--jitter-grid"),
+    ("unknown interaction factor", lambda c, m, t: (
+        "analyze", c, m, "--interactions", "group:nope", "--permutations", "9"),
+     EXIT_CONFIG, "unknown factor"),
+    ("pcmr outside the time domain", lambda c, m, t: (
+        "analyze", c, m, "--pcmr", "--domain", "freq", "--permutations", "9"),
+     EXIT_CONFIG, "--pcmr"),
+    ("missing file", lambda c, m, t: ("analyze", t / "absent.csv", m),
+     EXIT_DATA, "absent.csv"),
+    ("parse failure", lambda c, m, t: (
+        "analyze", _edited(c, t, "bad.csv", lambda s: _second_line_cell(s, "abc")), m),
+     EXIT_DATA, "cannot parse 'abc'"),
+    ("invalid UTF-8", lambda c, m, t: (
+        "transform", _raw(t, "latin1.csv", b"sample,t0\ns\xff,1\n"), "--out", t / "o.csv"),
+     EXIT_DATA, "UTF-8"),
+    ("blank header line", lambda c, m, t: (
+        "analyze", _edited(c, t, "blank.csv", lambda s: "\n" + s), m),
+     EXIT_DATA, "line 1 is blank"),
+    ("non-finite value", lambda c, m, t: (
+        "analyze", _edited(c, t, "nan.csv", lambda s: _second_line_cell(s, "nan")), m),
+     EXIT_DATA, "non-finite"),
+    ("id mismatch", lambda c, m, t: (
+        "analyze", c, _edited(m, t, "ids.csv", lambda s: s.replace("\n", "\nx", 1))),
+     EXIT_DATA, "sample ids disagree"),
+    ("ragged rows", lambda c, m, t: (
+        "analyze", _edited(c, t, "ragged.csv", lambda s: _second_line_cell(s, "1,2")), m),
+     EXIT_DATA, "fields, expected"),
+    ("degenerate factor", lambda c, m, t: (
+        "analyze", c, _edited(m, t, "flat.csv", _one_level), "--permutations", "9"),
+     EXIT_DATA, "single observed level"),
+    ("saturated model", lambda c, m, t: (
+        "simulate", "--trials", "1", "--jitter-grid", "0:10:0", "--permutations", "5",
+        "--replicates", "1", "--out-dir", t / "s"),
+     EXIT_NUMERIC, "saturated"),
+    ("rank exceeded", lambda c, m, t: (
+        "analyze", c, m, "--domain", "time", "--permutations", "99", "--components", "3",
+        "--out-dir", t / "o"),
+     EXIT_NUMERIC, "has rank 1"),
+    ("non-convergence", lambda c, m, t: (
+        "analyze", c, m, "--domain", "time", "--permutations", "9"),
+     EXIT_NUMERIC, "did not converge"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", [row[1:] for row in EXIT_TABLE],
+                         ids=[row[0] for row in EXIT_TABLE])
+def test_exit_code_table(fixture_files, tmp_path, capsys, monkeypatch, argv, code, message):
+    if message == "did not converge":  # no input makes LAPACK fail, so force it
+        monkeypatch.setattr(np.linalg, "svd", _failing_svd)
+    try:
+        got = run(*argv(*fixture_files, tmp_path))
+    except SystemExit as exc:  # argparse rejects the command line itself
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,13 +1,17 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fftasca import design, linalg
 from fftasca.design import DesignSpec, Factor, encode, permute_rows
 from fftasca.errors import (
     DimensionMismatch,
+    EmptyCellWarning,
     RankWarning,
     UnbalancedDesignWarning,
     UnknownTerm,
@@ -154,6 +158,20 @@ class TestPreparedDesignUse:
             call(x, dm)
         rank_warnings = [w for w in record if issubclass(w.category, RankWarning)]
         assert [w.filename for w in rank_warnings] == [__file__]
+
+    @pytest.mark.parametrize("call", [
+        lambda x, mask, dm: impute_cell_means(x, mask, dm),
+        lambda x, mask, dm: pcmr_permutation_test(x, mask, dm, n_permutations=9, seed=0),
+    ], ids=["impute_cell_means", "pcmr_permutation_test"])
+    def test_empty_cell_warning_points_at_the_caller(self, call):
+        dm = one_factor(3)
+        x = np.random.default_rng(6).normal(size=(6, 3)) + 5.0
+        mask = np.zeros(x.shape, dtype=bool)
+        mask[:3, 1] = True  # cell 0 observes nothing in column 1
+        with pytest.warns(EmptyCellWarning) as record:
+            call(x, mask, dm)
+        empty_warnings = [w for w in record if issubclass(w.category, EmptyCellWarning)]
+        assert [w.filename for w in empty_warnings] == [__file__]
 
 
 def manual_decomposition(effect_ssq, nu1, resid_ssq, nu2):
@@ -502,3 +520,59 @@ class TestSerialization:
         header = text.splitlines()[0].split()
         assert header == list(table.COLUMNS)
         assert "--" in text  # blanks rendered for Mean/Residuals/Total
+
+
+@st.composite
+def random_designs(draw):
+    """(encoded design, data): one or two factors, unbalanced, optionally
+    with their interaction, real or complex data."""
+    n = draw(st.integers(4, 9))
+    labels = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(
+        lambda v: len(set(v)) >= 2)
+    factors = [Factor.from_labels("a", draw(labels))]
+    interactions = ()
+    if draw(st.booleans()):
+        factors.append(Factor.from_labels("b", draw(labels)))
+        interactions = ((0, 1),) if draw(st.booleans()) else ()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, draw(st.integers(1, 5))))
+    if draw(st.booleans()):
+        x = x + 1j * rng.normal(size=x.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return encode(DesignSpec(factors=tuple(factors), interactions=interactions)), x
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(case=random_designs())
+    def test_fit_parts_add_up_to_the_data(self, case):
+        dm, x = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            dec = fit(x, dm)
+        parts = np.ones((x.shape[0], 1)) @ dec.grand_mean_row + dec.residuals
+        parts = parts + sum(dec.effects.values())
+        assert np.allclose(parts, x, rtol=0, atol=1e-12 * (1.0 + np.max(np.abs(x))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=random_designs(), n_perm=st.integers(1, 40), seed=st.integers(0, 10**6),
+           masked=st.booleans(), density=st.floats(0.0, 0.5))
+    def test_p_lies_between_the_floor_and_one(self, case, n_perm, seed, masked, density):
+        dm, x = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                if masked:
+                    mask = np.random.default_rng(seed).random(x.shape) < density
+                    table = pcmr_permutation_test(x, mask, dm, n_permutations=n_perm,
+                                                  seed=seed)
+                else:
+                    table = permutation_test(x, dm, n_permutations=n_perm, seed=seed)
+            except ZeroResidual:
+                return
+        b = table.n_permutations
+        assert 1 <= b <= n_perm
+        for term in dm.terms:
+            p = table.row(term).p_value
+            assert 1 / (b + 1) <= p <= 1

@@ -183,3 +183,16 @@ class TestJitterTable:
         assert lines[0] == "jitter,trial,z_time,z_freq"
         assert lines[1].startswith("0,0,1.5,2.5")
         assert lines[2].startswith("50,0,-0.5,2.25")
+
+
+class TestRealMatrix:
+    @pytest.mark.parametrize("ids", [None, ("a", "b,c", "d", "e", "f")])
+    def test_distinct_rows_write_the_bytes_of_the_full_matrix(self, tmp_path, ids):
+        rng = np.random.default_rng(3)
+        distinct = rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-20, 20, size=(3, 4))
+        index = np.array([2, 0, 2, 1, 0])
+        full, levels = tmp_path / "full.csv", tmp_path / "levels.csv"
+        dataio.write_real_matrix_csv(full, ["x", "y", "z", "w"], distinct[index], row_ids=ids)
+        dataio.write_real_matrix_csv(levels, ["x", "y", "z", "w"], distinct, row_ids=ids,
+                                     rows=index)
+        assert levels.read_bytes() == full.read_bytes()

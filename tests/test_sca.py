@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fftasca.design import DesignSpec, Factor, encode
-from fftasca.errors import LengthMismatch, RankExceeded, UnknownTerm
+from fftasca.design import DesignSpec, DistinctRows, Factor, encode
+from fftasca.errors import DimensionMismatch, LengthMismatch, RankExceeded, UnknownTerm
 from fftasca.glm import fit
 from fftasca.linalg import ssq
 from fftasca.sca import (
@@ -13,6 +17,7 @@ from fftasca.sca import (
     sca_fit,
 )
 from fftasca.spectral import SpectrumMatrix, inverse_rows, transform_rows
+from sca_oracle import full_effect_to_time, full_sca_fit
 
 
 def rank_k_complex(rng, n, m, k):
@@ -272,3 +277,114 @@ class TestFullPipelineIdentity:
         back = inverse_rows(SpectrumMatrix(values=total, source_length=128))
         assert np.max(np.abs(back.real - x)) < 1e-8
         assert np.max(np.abs(back.imag)) < 1e-8
+
+
+LEVEL_KINDS = ("one_way", "interaction", "two_by_two", "rank_deficient")
+
+
+@st.composite
+def level_cases(draw, kind):
+    """(design spec, data) with repeated effect rows: unbalanced one-way,
+    two-factor with interaction and possibly empty cells, a 2 x 2 whose
+    interaction has fewer distinct rows than cells, and aliased factors."""
+    if kind in ("interaction", "two_by_two"):
+        la, lb = (2, 2) if kind == "two_by_two" else (draw(st.integers(2, 3)),
+                                                      draw(st.integers(2, 3)))
+        least = 1 if kind == "two_by_two" else 0
+        counts = draw(st.lists(st.integers(least, 3), min_size=la * lb, max_size=la * lb))
+        cells = [(i, j) for i in range(la) for j in range(lb)
+                 for _ in range(counts[i * lb + j])]
+        assume(len({i for i, _ in cells}) == la and len({j for _, j in cells}) == lb)
+        cells = draw(st.permutations(cells))
+        factors = (Factor.from_labels("a", [i for i, _ in cells]),
+                   Factor.from_labels("b", [j for _, j in cells]))
+        spec = DesignSpec(factors=factors, interactions=((0, 1),))
+    else:
+        counts = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+        a = draw(st.permutations([lev for lev, c in enumerate(counts) for _ in range(c)]))
+        factors = (Factor.from_labels("a", a),)
+        interactions = ()
+        if kind == "rank_deficient":
+            relabel = draw(st.permutations(range(len(counts))))
+            factors += (Factor.from_labels("b", [relabel[v] for v in a]),)
+            interactions = ((0, 1),) if draw(st.booleans()) else ()
+        spec = DesignSpec(factors=factors, interactions=interactions)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (spec.n_samples, draw(st.integers(3, 8)))
+    x = rng.normal(size=shape)
+    form = draw(st.sampled_from(["real", "complex", "spectra"]))
+    if form == "complex":
+        x = x + 1j * rng.normal(size=shape)
+    elif form == "spectra":
+        x = np.fft.fft(x, axis=1)
+    return spec, x
+
+
+class TestLevelSpace:
+    """The level-space fit against the full-matrix SVD of ``sca_oracle``."""
+
+    @pytest.mark.parametrize("kind", LEVEL_KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_level_space_equals_full_svd_oracle(self, kind, data):
+        spec, x = data.draw(level_cases(kind))
+        include_mean = data.draw(st.booleans())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            dm = encode(spec)
+            decomp = fit(x, dm)
+        for term in dm.terms:
+            effect, rows = decomp.effect(term), decomp.distinct_rows(term)
+            assert np.array_equal(effect, effect[rows.first][rows.inverse])
+
+            view = effect_to_time(decomp, term, include_mean=include_mean)
+            want, residue = full_effect_to_time(decomp, term, include_mean)
+            assert np.array_equal(view.effect_time, want)
+            assert view.imag_residue == residue
+
+            cap = dm.dof[term]
+            try:
+                scores, projected, loadings, explained = full_sca_fit(
+                    effect, decomp.residuals, cap=cap)
+            except RankExceeded:
+                with pytest.raises(RankExceeded):
+                    sca_fit(effect, decomp.residuals, cap=cap, rows=rows)
+                continue
+            k = loadings.shape[1]
+            # singular vectors are defined only where the singular values
+            # are apart; the last kept one must also clear the next
+            s = np.linalg.svd(effect, compute_uv=False)
+            assume(np.all(s[:k] - np.append(s[1:], 0.0)[:k] > 1e-6 * s[0]))
+            model = sca_fit(effect, decomp.residuals, cap=cap, rows=rows)
+            assert model.n_components == k
+            assert default_components(effect, cap, rows=rows) == k
+            scale = s[0] + np.max(np.abs(decomp.residuals))
+            assert np.allclose(model.explained_ssq, explained, rtol=0, atol=1e-12 * s[0] ** 2)
+            assert np.allclose(model.loadings, loadings, rtol=0, atol=1e-8)
+            assert np.allclose(model.scores, scores, rtol=0, atol=1e-8 * s[0])
+            assert np.allclose(model.projected_scores, projected, rtol=0, atol=1e-8 * scale)
+
+    def test_two_by_two_interaction_has_two_distinct_rows(self):
+        a = Factor.from_labels("a", [0, 0, 0, 1, 1, 0, 1])
+        b = Factor.from_labels("b", [0, 1, 1, 0, 1, 0, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            dm = encode(DesignSpec(factors=(a, b), interactions=((0, 1),)))
+        rows = dm.distinct_rows
+        assert [rows[t].counts.tolist() for t in ("a", "b", "a:b")] == [[3, 4], [3, 4], [4, 3]]
+        assert len(dm.cell_rows) == 4
+        for r in rows.values():
+            assert np.array_equal(r.inverse[r.first], np.arange(r.first.size))
+
+    def test_scores_repeat_within_a_level(self):
+        x, dm, _ = two_level_dataset(noise=0.05, seed=22)
+        dec = fit(transform_rows(x.astype(complex)).values, dm)
+        model = sca_fit(dec.effect("g"), dec.residuals, 1, rows=dec.distinct_rows("g"))
+        assert np.all(model.scores[:4] == model.scores[0])
+        assert np.all(model.scores[4:] == model.scores[4])
+
+    def test_index_must_cover_the_effect_rows(self):
+        x, dm, _ = two_level_dataset(seed=23)
+        dec = fit(x.astype(complex), dm)
+        with pytest.raises(DimensionMismatch):
+            sca_fit(dec.effect("g"), dec.residuals, 1, rows=DistinctRows.all_distinct(5))

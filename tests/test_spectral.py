@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fftasca.errors import EmptySignal
 from fftasca.spectral import (
@@ -130,6 +133,18 @@ class TestParseval:
             freq = np.sum(np.abs(spec.values) ** 2)
             time = np.sum(x * x)
             assert freq == pytest.approx(m * time, rel=1e-10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 300)),
+                    elements=st.floats(-1e6, 1e6)))
+    def test_parseval_constant_is_m_for_any_real_rows(self, x):
+        m = x.shape[1]
+        freq = np.sum(np.abs(transform_rows(x).values) ** 2)
+        time = float(np.sum(x * x))
+        assert freq == pytest.approx(m * time, rel=1e-9, abs=1e-300)
+        for row in x:
+            t, f = parseval_check(row)
+            assert f == pytest.approx(t, rel=1e-9, abs=1e-300)
 
 
 class TestFastPathAgainstNaive:
