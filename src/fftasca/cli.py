@@ -22,7 +22,7 @@ import numpy as np
 
 from . import io as dataio
 from . import plots
-from .design import encode, interaction_name
+from .design import MAX_PERMUTATIONS, encode, interaction_name
 from .errors import (
     ConfigInvalid,
     DegenerateFactor,
@@ -152,9 +152,11 @@ def _parse_grid(token):
     return list(range(start, stop + 1, step))
 
 
-def _check_count(flag, n, least=1):
+def _check_count(flag, n, least=1, most=None):
     if n < least:
         raise ConfigInvalid(f"{flag} must be at least {least}, got {n}")
+    if most is not None and n > most:
+        raise ConfigInvalid(f"{flag} must be at most {most}, got {n}")
 
 
 def _term_filename(term):
@@ -201,10 +203,8 @@ def _write_anova(out_dir, name, table):
     _write_text(os.path.join(out_dir, f"{name}.txt"), table.to_text())
 
 
-def _emit_term_artifacts(args, out_dir, term, decomp, spec, ids, source_len):
-    rows = decomp.distinct_rows(term)
-    model = sca_fit(decomp.effect(term), decomp.residuals, args.components, term=term,
-                    cap=max(decomp.dof[term], 1), rows=rows)
+def _emit_term_artifacts(args, out_dir, model, decomp, spec, ids, source_len):
+    term = model.term
     n_comp = model.n_components
     stem = _term_filename(term)
     pcs = [f"pc{r + 1}" for r in range(n_comp)]
@@ -228,6 +228,7 @@ def _emit_term_artifacts(args, out_dir, term, decomp, spec, ids, source_len):
 
     if args.domain == "freq":
         # every sample of a level has its level's row: write and plot the distinct rows
+        rows = decomp.distinct_rows(term)
         levels = effect_to_time(decomp, term).effect_time[rows.first]
         level_traces = {lab: levels[rows.inverse[labels.index(lab)]]
                         for lab in sorted(set(labels))}
@@ -238,7 +239,7 @@ def _emit_term_artifacts(args, out_dir, term, decomp, spec, ids, source_len):
 
 
 def _cmd_analyze(args):
-    _check_count("--permutations", args.permutations)
+    _check_count("--permutations", args.permutations, most=MAX_PERMUTATIONS)
     _check_count("--seed", args.seed, least=0)
     if not 0 < args.alpha < 1:
         raise ConfigInvalid(f"--alpha must lie in (0, 1), got {args.alpha}")
@@ -287,16 +288,22 @@ def _cmd_analyze(args):
 
     if args.out_dir is None:
         return EXIT_OK
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write_anova(args.out_dir, "anova", table)
-
     significant = [t for t in dmatrix.terms
                    if table.row(t).p_value is not None
                    and table.row(t).p_value <= args.alpha]
+    # every component model is fitted before the first artifact is written,
+    # so a component count above an effect's rank leaves no partial --out-dir
+    models = []
     if significant:
         decomp = fit(fitted_input, dmatrix)
-        for term in significant:
-            _emit_term_artifacts(args, args.out_dir, term, decomp, spec, ids, source_len)
+        models = [sca_fit(decomp.effect(t), decomp.residuals, args.components, term=t,
+                          cap=max(decomp.dof[t], 1), rows=decomp.distinct_rows(t))
+                  for t in significant]
+
+    os.makedirs(args.out_dir, exist_ok=True)
+    _write_anova(args.out_dir, "anova", table)
+    for model in models:
+        _emit_term_artifacts(args, args.out_dir, model, decomp, spec, ids, source_len)
 
     if args.trim:
         kept = [t for t in significant if ":" not in t]
@@ -345,7 +352,7 @@ def _write_summary(args, out_dir, extra):
 
 
 def _cmd_simulate(args):
-    _check_count("--permutations", args.permutations)
+    _check_count("--permutations", args.permutations, most=MAX_PERMUTATIONS)
     _check_count("--trials", args.trials)
     _check_count("--seed", args.seed, least=0)
     levels = _parse_grid(args.jitter_grid)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateFactor, DimensionMismatch, UnbalancedDesignWarning
+from .errors import ConfigInvalid, DegenerateFactor, DimensionMismatch, UnbalancedDesignWarning
 from .linalg import pinv_from_svd, rank_from_singular_values, svd
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "encode",
     "is_balanced",
     "permute_rows",
+    "MAX_PERMUTATIONS",
     "interaction_name",
 ]
 
@@ -268,26 +269,108 @@ def is_balanced(spec):
     return counts.size == n_cells_full and bool(np.all(counts == counts[0]))
 
 
-def _rng_for(seed, index):
-    """Independent generator for permutation ``index`` of a seeded stream."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
-    return np.random.Generator(np.random.PCG64(ss))
+# SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's
+# 128-bit LCG multiplier (O'Neill 2014, HMC-CS-2014-0905)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+# permutation i is seeded with the spawn key (i,), one 32-bit word per index
+MAX_PERMUTATIONS = _MASK32
+_SEED_CHUNK = 4096
+
+
+def _hash32(values, hash_const, mult):
+    """SeedSequence's hash of the 32-bit ``values`` (held in uint64, where
+    the product of two 32-bit words is exact), and the advanced constant."""
+    values = values ^ np.uint64(hash_const)
+    hash_const = hash_const * mult & _MASK32
+    values = values * np.uint64(hash_const) & np.uint64(_MASK32)
+    return values ^ (values >> np.uint64(16)), hash_const
+
+
+def _pcg64_seeds(seed, start, stop):
+    """``generate_state(4, uint64)`` of ``SeedSequence(seed, spawn_key=(i,))``
+    for every ``i`` in ``range(start, stop)``, as an array of 4-word rows.
+
+    The pool after mixing the seed words is the pool of
+    ``SeedSequence(seed)``, and the hash constant has then advanced once per
+    mix: 16 times, plus 4 times per seed word beyond the fourth.  Mixing in
+    the one spawn word and drawing the state are vectorized over ``i``.
+    """
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)
+    words = max(1, -(-seed.bit_length() // 32))
+    hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 1 << 32) & _MASK32
+    index = np.arange(start, stop, dtype=np.uint64)
+    mixer = []
+    for word in pool:
+        hashed, hash_const = _hash32(index, hash_const, _MULT_A)
+        mixed = (np.uint64(_MIX_L) * word - np.uint64(_MIX_R) * hashed) & np.uint64(_MASK32)
+        mixer.append(mixed ^ (mixed >> np.uint64(16)))
+    state, hash_const = [], _INIT_B
+    for j in range(8):
+        hashed, hash_const = _hash32(mixer[j % 4], hash_const, _MULT_B)
+        state.append(hashed)
+    return np.stack([state[k] | (state[k + 1] << np.uint64(32)) for k in range(0, 8, 2)],
+                    axis=1)
+
+
+def _draw_stream(n, count, seed):
+    """``Generator(PCG64(SeedSequence(seed, spawn_key=(i,)))).permutation(n)``
+    for every ``i < count``, drawn by one reused generator.
+
+    PCG64 seeds itself from the words ``(s_hi, s_lo, i_hi, i_lo)`` by
+    ``srandom``: ``inc = 2 * (i_hi:i_lo) + 1`` and two LCG steps from 0
+    with ``s_hi:s_lo`` added between them.  Setting that state, and
+    shuffling a row that holds ``range(n)``, draws the permutation of a
+    freshly seeded generator.  Seeds are made a chunk of rows at a time to
+    bound their memory.
+    """
+    gen = np.random.Generator(np.random.PCG64())
+    bit_generator = gen.bit_generator
+    out = np.tile(np.arange(n, dtype=np.intp), (count, 1))
+    for start in range(0, count, _SEED_CHUNK):
+        rows = out[start:start + _SEED_CHUNK]
+        seeds = _pcg64_seeds(seed, start, start + rows.shape[0]).tolist()
+        for row, (s_hi, s_lo, i_hi, i_lo) in zip(rows, seeds):
+            inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+            bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            gen.shuffle(row)
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def _cached_stream(n, count, seed):
+    perms = _draw_stream(n, count, seed)
+    perms.flags.writeable = False
+    return perms
 
 
 def permute_rows(n, count, seed=0, exhaustive=False):
-    """Permutations of ``range(n)`` as a (count, n) integer array.
+    """Permutations of ``range(n)`` as a read-only (count, n) integer array.
 
     With ``exhaustive=True`` all ``n!`` permutations are returned exactly
     once (``count`` and ``seed`` are ignored).  Otherwise ``count``
-    uniformly random permutations are drawn; permutation ``i`` depends only
-    on ``(seed, i)``, so any element of the stream can be regenerated
-    without the preceding ones.
+    uniformly random permutations are drawn: permutation ``i`` is that of
+    ``Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))``, so it depends
+    only on ``(seed, i)`` and any element of the stream can be regenerated
+    without the preceding ones.  ``count`` must lie in
+    ``[0, MAX_PERMUTATIONS]``.  The last stream drawn is kept and returned
+    again for the same ``(n, count, seed)``, so the two tests of a drift
+    trial, or a test and its ``--trim`` refit, draw it once.
     """
     if n < 1:
         raise DimensionMismatch("need at least one row to permute")
     if exhaustive:
-        return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    out = np.empty((count, n), dtype=np.intp)
-    for i in range(count):
-        out[i] = _rng_for(seed, i).permutation(n)
-    return out
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+        perms.flags.writeable = False
+        return perms
+    if not 0 <= count <= MAX_PERMUTATIONS:
+        raise ConfigInvalid(f"permutation count must lie in [0, {MAX_PERMUTATIONS}], got {count}")
+    return _cached_stream(int(n), int(count), int(seed))

@@ -9,7 +9,7 @@ import pytest
 import fftasca
 from fftasca import io as dataio
 from fftasca.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, run_pipeline
-from fftasca.design import DesignSpec, encode
+from fftasca.design import MAX_PERMUTATIONS, DesignSpec, encode
 from fftasca.glm import pcmr_permutation_test, zeros_to_missing
 from fftasca.synth import SynthConfig, generate
 
@@ -160,6 +160,23 @@ class TestAnalyze:
         expected = pcmr_permutation_test(data, mask, kept, n_permutations=99, seed=3)
         assert (out / "anova_trimmed.csv").read_text(encoding="utf-8") == expected.to_csv()
         assert (out / "anova_trimmed.txt").read_text(encoding="utf-8") == expected.to_text()
+
+    @pytest.mark.parametrize("extra", [(), ("--pcmr",)])
+    def test_trim_refit_reuses_the_first_stream(self, peak_table, tmp_path, stream_draws,
+                                                extra):
+        out = tmp_path / "out"
+        assert run("analyze", *peak_table, "--domain", "time", *extra, "--trim",
+                   "--permutations", "99", "--seed", "3",
+                   "--out-dir", out, "--no-timestamp") == EXIT_OK
+        assert (out / "anova_trimmed.csv").exists()
+        assert stream_draws == [(24, 99, 3)]
+
+    def test_rank_error_leaves_no_partial_out_dir(self, fixture_files, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("analyze", *fixture_files, "--domain", "time", "--permutations", "99",
+                   "--components", "3", "--out-dir", out) == EXIT_NUMERIC
+        assert "3 components requested but the effect has rank 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("permutations, alpha, warned", [
         (10, 0.05, True), (19, 0.05, False), (999, 0.001, False), (998, 0.001, True)])
@@ -415,6 +432,12 @@ EXIT_TABLE = [
      EXIT_CONFIG, "invalid choice"),
     ("permutations below one", lambda c, m, t: ("analyze", c, m, "--permutations", "0"),
      EXIT_CONFIG, "--permutations"),
+    ("permutations above the index range", lambda c, m, t: (
+        "analyze", c, m, "--permutations", str(MAX_PERMUTATIONS + 1)),
+     EXIT_CONFIG, f"--permutations must be at most {MAX_PERMUTATIONS}"),
+    ("simulate permutations above the index range", lambda c, m, t: (
+        "simulate", "--permutations", "10000000000000", "--out-dir", t / "s"),
+     EXIT_CONFIG, f"--permutations must be at most {MAX_PERMUTATIONS}"),
     ("trials below one", lambda c, m, t: ("simulate", "--trials", "0", "--out-dir", t / "s"),
      EXIT_CONFIG, "--trials"),
     ("components below one", lambda c, m, t: ("analyze", c, m, "--components", "0"),
@@ -492,3 +515,17 @@ def test_cli_import_leaves_scipy_unloaded():
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     check = "import sys, fftasca.cli; sys.exit(int('scipy' in sys.modules))"
     assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
+
+
+def test_simulate_runs_without_scipy(tmp_path):
+    src = str(Path(fftasca.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    # a None entry makes every import of scipy fail
+    check = ("import sys; sys.modules['scipy'] = None\n"
+             "from fftasca.cli import run_pipeline\n"
+             "sys.exit(run_pipeline(['simulate', '--jitter-grid', '0:10:10', '--trials', '1',"
+             " '--permutations', '19', '--acquisitions', '600', '--peaks', '4',"
+             " '--significant', '2', '--out-dir', sys.argv[1]]))")
+    assert subprocess.run([sys.executable, "-c", check, str(tmp_path)], env=env).returncode == 0
+    assert (tmp_path / "jitter_z.csv").exists()

@@ -3,16 +3,26 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fftasca import design
 from fftasca.design import (
+    MAX_PERMUTATIONS,
     DesignSpec,
     Factor,
     encode,
     is_balanced,
     permute_rows,
 )
-from fftasca.errors import DegenerateFactor, DimensionMismatch, UnbalancedDesignWarning
+from fftasca.errors import (
+    ConfigInvalid,
+    DegenerateFactor,
+    DimensionMismatch,
+    UnbalancedDesignWarning,
+)
 from fftasca.linalg import numerical_rank, pinv
+from stream_oracle import permutation_stream
 
 
 def two_by_two(reps=3, interaction=True):
@@ -169,7 +179,7 @@ class TestPermuteRows:
     def test_stream_splittable(self):
         # element i of the stream is recoverable without elements 0..i-1
         full = permute_rows(8, 20, seed=7)
-        tail = permute_rows(8, 20, seed=7)[13]
+        tail = permute_rows(8, 14, seed=7)[13]
         assert np.array_equal(full[13], tail)
 
     def test_position_value_frequencies_near_uniform(self):
@@ -185,3 +195,54 @@ class TestPermuteRows:
         perms = permute_rows(6, 25, seed=1)
         for p in perms:
             assert sorted(p.tolist()) == list(range(6))
+
+
+# seeds of one 32-bit word, of several words, and beyond PCG64's 128-bit state
+stream_seeds = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**128),
+                         st.integers(2**128 + 1, 2**200))
+
+
+class TestPermutationStream:
+    """``permute_rows`` against one freshly seeded generator per permutation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=stream_seeds, n=st.integers(1, 100), count=st.integers(1, 300))
+    def test_equals_the_per_permutation_generators(self, seed, n, count):
+        assert np.array_equal(permute_rows(n, count, seed=seed),
+                              permutation_stream(n, count, seed))
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3, 12345678901234567890, 2**130 + 5])
+    def test_fixed_seeds(self, seed):
+        for n in (2, 5, 48, 93):
+            assert np.array_equal(permute_rows(n, 500, seed=seed),
+                                  permutation_stream(n, 500, seed))
+
+    def test_seed_chunks_join_seamlessly(self, monkeypatch, stream_draws):
+        monkeypatch.setattr(design, "_SEED_CHUNK", 7)
+        assert np.array_equal(permute_rows(5, 50, seed=3), permutation_stream(5, 50, 3))
+        assert stream_draws == [(5, 50, 3)]
+
+    @pytest.mark.parametrize("seed", [0, 2**130 + 5])
+    def test_seed_words_at_the_top_of_the_index_range(self, seed):
+        start = MAX_PERMUTATIONS - 2
+        words = design._pcg64_seeds(seed, start, MAX_PERMUTATIONS + 1)
+        for row, index in zip(words, range(start, MAX_PERMUTATIONS + 1)):
+            ss = np.random.SeedSequence(seed, spawn_key=(index,))
+            assert np.array_equal(row, ss.generate_state(4, np.uint64))
+
+    def test_returned_arrays_are_read_only(self):
+        for perms in (permute_rows(6, 10, seed=2), permute_rows(4, 0, exhaustive=True)):
+            with pytest.raises(ValueError):
+                perms[0, 0] = 1
+
+    def test_repeated_request_draws_once(self, stream_draws):
+        first = permute_rows(9, 40, seed=5)
+        assert permute_rows(9, 40, seed=5) is first
+        permute_rows(9, 40, seed=6)
+        assert stream_draws == [(9, 40, 5), (9, 40, 6)]
+
+    @pytest.mark.parametrize("count", [-1, MAX_PERMUTATIONS + 1, 10**13])
+    def test_count_outside_the_index_range_is_rejected(self, count):
+        # raised before anything is allocated
+        with pytest.raises(ConfigInvalid):
+            permute_rows(25, count, seed=0)

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from fftasca.design import encode
 from fftasca.errors import ConfigInvalid, DomainError
 from fftasca.glm import permutation_test
 from fftasca.synth import (
     SynthConfig,
+    _ndtri,
     generate,
     jitter_experiment,
     p_to_z,
@@ -129,6 +133,32 @@ class TestPToZ:
         assert p_to_z(1.0) == -math.inf
 
 
+def same_bits(got, want):
+    return float(got).hex() == float(want).hex()
+
+
+class TestNdtriPort:
+    """The Cephes ``ndtri`` port against ``scipy.special.ndtri``, bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(y=st.one_of(st.floats(0.0, 1.0),
+                       st.floats(-745.0, 0.0).map(math.exp),
+                       st.floats(-745.0, 0.0).map(lambda v: 1.0 - math.exp(v))))
+    def test_equals_scipy(self, y):
+        assert same_bits(_ndtri(y), ndtri(y))
+
+    def test_permutation_lattices(self):
+        for b in (1, 9, 19, 99, 199, 200, 999, 1000, 4999, 9999):
+            lattice = np.arange(b + 2) / (b + 1)
+            want = ndtri(lattice)
+            assert all(same_bits(_ndtri(y), w) for y, w in zip(lattice.tolist(), want))
+
+    @pytest.mark.parametrize("y", [math.exp(-2), 1 - math.exp(-2), math.exp(-32), 5e-324,
+                                   1 - 2**-53, 0.5, 0.0, 1.0])
+    def test_branch_edges(self, y):
+        assert same_bits(_ndtri(y), ndtri(y))
+
+
 class TestJitterExperiment:
     def test_rows_and_determinism(self):
         cfg = small_config(n_acquisitions=900, effect_size=6.0)
@@ -150,3 +180,10 @@ class TestJitterExperiment:
         lone = jitter_experiment(cfg, [30], trials=1, n_permutations=49, seed=11)
         both = jitter_experiment(cfg, [0, 30], trials=1, n_permutations=49, seed=11)
         assert lone[0] == both[1]
+
+    def test_one_permutation_stream_per_trial(self, stream_draws):
+        # the time and the magnitude test of a trial share its stream
+        cfg = small_config(n_acquisitions=900, effect_size=6.0)
+        rows = jitter_experiment(cfg, [0, 30], trials=2, n_permutations=49, seed=11)
+        assert len(stream_draws) == len(rows) == 4
+        assert len(set(stream_draws)) == 4
