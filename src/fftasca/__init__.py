@@ -10,6 +10,7 @@ back to the time domain for inspection.
 from .design import DesignMatrix, DesignSpec, Factor, encode, is_balanced, permute_rows
 from .errors import (
     ConfigInvalid,
+    DataError,
     DegenerateFactor,
     DimensionMismatch,
     DomainError,
@@ -17,8 +18,11 @@ from .errors import (
     EmptySignal,
     FftascaError,
     IdMismatch,
+    InvalidTerm,
     LengthMismatch,
     NonConvergence,
+    NonFiniteResult,
+    NumericError,
     ParseError,
     RaggedRows,
     RankExceeded,
@@ -62,6 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnovaTable",
     "ConfigInvalid",
+    "DataError",
     "DegenerateFactor",
     "DesignMatrix",
     "DesignSpec",
@@ -73,8 +78,11 @@ __all__ = [
     "FftascaError",
     "GlmDecomposition",
     "IdMismatch",
+    "InvalidTerm",
     "LengthMismatch",
     "NonConvergence",
+    "NonFiniteResult",
+    "NumericError",
     "ParseError",
     "RaggedRows",
     "RankExceeded",

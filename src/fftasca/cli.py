@@ -22,24 +22,8 @@ import numpy as np
 
 from . import io as dataio
 from . import plots
-from .design import MAX_PERMUTATIONS, encode, interaction_name
-from .errors import (
-    ConfigInvalid,
-    DegenerateFactor,
-    DimensionMismatch,
-    DomainError,
-    EmptySeries,
-    EmptySignal,
-    FftascaError,
-    IdMismatch,
-    LengthMismatch,
-    NonConvergence,
-    ParseError,
-    RaggedRows,
-    RankExceeded,
-    UnknownTerm,
-    ZeroResidual,
-)
+from .design import MAX_PERMUTATIONS, encode
+from .errors import ConfigInvalid, DataError, FftascaError, NumericError
 from .glm import (
     _grand_means,
     fit,
@@ -50,19 +34,13 @@ from .glm import (
 )
 from .linalg import mean_center_columns
 from .sca import effect_to_time, loadings_to_time, real_scores, sca_fit
-from .spectral import transform_rows
+from .spectral import SpectrumMatrix, inverse_rows, transform_rows
 from .synth import SynthConfig, generate, jitter_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-_DATA_ERRORS = (ParseError, IdMismatch, RaggedRows, DegenerateFactor,
-                DimensionMismatch, UnknownTerm, EmptySignal, LengthMismatch)
-_CONFIG_ERRORS = (ConfigInvalid,)
-_NUMERIC_ERRORS = (NonConvergence, ZeroResidual, RankExceeded, DomainError,
-                   EmptySeries)
 
 
 def _build_parser():
@@ -129,13 +107,18 @@ def _build_parser():
 def _parse_interactions(tokens, spec):
     pairs = []
     for tok in tokens:
-        if ":" not in tok:
+        a, sep, b = tok.partition(":")
+        if not sep:
             raise ConfigInvalid(f"--interactions expects A:B, got '{tok}'")
-        a, b = tok.split(":", 1)
         try:
-            pairs.append((spec.factor_index(a), spec.factor_index(b)))
+            pair = (spec.factor_index(a), spec.factor_index(b))
         except KeyError as exc:
             raise ConfigInvalid(f"unknown factor '{exc.args[0]}' in --interactions") from None
+        if pair[0] == pair[1]:
+            raise ConfigInvalid(f"--interactions '{tok}' pairs a factor with itself")
+        if pair in pairs or pair[::-1] in pairs:
+            raise ConfigInvalid(f"--interactions '{tok}' repeats a pair")
+        pairs.append(pair)
     return tuple(pairs)
 
 
@@ -165,14 +148,11 @@ def _term_filename(term):
 
 def _group_labels(spec, term):
     """Display label per sample for a factor or interaction term."""
-    if ":" in term:
-        a, b = term.split(":", 1)
-        la = _group_labels(spec, a)
-        lb = _group_labels(spec, b)
-        return [f"{x}/{y}" for x, y in zip(la, lb)]
-    f = spec.factors[spec.factor_index(term)]
-    names = f.level_names or {}
-    return [str(names.get(lab, lab)) for lab in f.labels]
+    columns = []
+    for k in spec.term_factors[term]:
+        names = spec.factors[k].level_names or {}
+        columns.append([str(names.get(lab, lab)) for lab in spec.factors[k].labels])
+    return ["/".join(labs) for labs in zip(*columns)]
 
 
 def _scatter_series(scores, labels):
@@ -270,15 +250,13 @@ def _cmd_analyze(args):
         data = spectra.values if args.domain == "freq" else np.abs(spectra.values)
     source_len = x.shape[1]
 
-    if mask is not None:
-        table = pcmr_permutation_test(data, mask, dmatrix,
-                                      n_permutations=args.permutations, seed=args.seed)
-        fitted_input = impute_cell_means(data, mask, dmatrix, warn_empty=False)
-    else:
-        table = permutation_test(data, dmatrix,
-                                 n_permutations=args.permutations, seed=args.seed)
-        fitted_input = data
+    def run_test(dm):
+        if mask is None:
+            return permutation_test(data, dm, n_permutations=args.permutations, seed=args.seed)
+        return pcmr_permutation_test(data, mask, dm, n_permutations=args.permutations,
+                                     seed=args.seed)
 
+    table = run_test(dmatrix)
     sys.stdout.write(table.to_text())
     floor = 1 / (table.n_permutations + 1)
     if floor > args.alpha:
@@ -295,7 +273,8 @@ def _cmd_analyze(args):
     # so a component count above an effect's rank leaves no partial --out-dir
     models = []
     if significant:
-        decomp = fit(fitted_input, dmatrix)
+        fitted = data if mask is None else impute_cell_means(data, mask, dmatrix, warn_empty=False)
+        decomp = fit(fitted, dmatrix)
         models = [sca_fit(decomp.effect(t), decomp.residuals, args.components, term=t,
                           cap=max(decomp.dof[t], 1), rows=decomp.distinct_rows(t))
                   for t in significant]
@@ -306,30 +285,16 @@ def _cmd_analyze(args):
         _emit_term_artifacts(args, args.out_dir, model, decomp, spec, ids, source_len)
 
     if args.trim:
-        kept = [t for t in significant if ":" not in t]
-        kept += [t for t in significant
-                 if ":" in t and all(p in kept for p in t.split(":", 1))]
-        if kept:
-            factors = tuple(f for f in spec.factors if f.name in kept)
-            remap = {f.name: i for i, f in enumerate(factors)}
+        # keep the significant factors, and the significant interactions of two of them
+        kept = [spec.term_factors[t] for t in significant]
+        factors = [ks[0] for ks in kept if len(ks) == 1]
+        if factors:
+            remap = {k: i for i, k in enumerate(factors)}
             trimmed_spec = type(spec)(
-                factors=factors,
-                interactions=tuple(
-                    (remap[spec.factors[a].name], remap[spec.factors[b].name])
-                    for a, b in spec.interactions
-                    if interaction_name(spec, (a, b)) in kept
-                ),
-            )
-            trimmed_dm = encode(trimmed_spec)
-            if mask is not None:
-                trimmed = pcmr_permutation_test(
-                    data, mask, trimmed_dm,
-                    n_permutations=args.permutations, seed=args.seed)
-            else:
-                trimmed = permutation_test(
-                    data, trimmed_dm,
-                    n_permutations=args.permutations, seed=args.seed)
-            _write_anova(args.out_dir, "anova_trimmed", trimmed)
+                factors=tuple(spec.factors[k] for k in factors),
+                interactions=tuple(tuple(remap[k] for k in ks) for ks in kept
+                                   if len(ks) == 2 and set(ks) <= remap.keys()))
+            _write_anova(args.out_dir, "anova_trimmed", run_test(encode(trimmed_spec)))
         else:
             sys.stderr.write("trim requested but no term passed the threshold\n")
 
@@ -405,7 +370,7 @@ def _cmd_simulate(args):
 def _cmd_transform(args):
     if args.inverse:
         ids, values = dataio.read_complex_matrix(args.input)
-        back = np.fft.ifft(values, axis=1)
+        back = inverse_rows(SpectrumMatrix(values=values, source_length=values.shape[1]))
         residue = float(np.max(np.abs(back.imag))) if back.size else 0.0
         scale = float(np.max(np.abs(back.real))) if back.size else 1.0
         if residue > 1e-6 * max(scale, 1.0):
@@ -441,18 +406,15 @@ def run_pipeline(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except _CONFIG_ERRORS as exc:
+    except ConfigInvalid as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
-    except _DATA_ERRORS as exc:
+    except (DataError, FileNotFoundError) as exc:
         sys.stderr.write(f"data error: {exc}\n")
         return EXIT_DATA
-    except _NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         sys.stderr.write(f"numeric error: {exc}\n")
         return EXIT_NUMERIC
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"data error: {exc}\n")
-        return EXIT_DATA
     except FftascaError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA

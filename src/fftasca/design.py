@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigInvalid, DegenerateFactor, DimensionMismatch, UnbalancedDesignWarning
+from .errors import (
+    ConfigInvalid,
+    DegenerateFactor,
+    DimensionMismatch,
+    InvalidTerm,
+    UnbalancedDesignWarning,
+)
 from .linalg import pinv_from_svd, rank_from_singular_values, svd
 
 __all__ = [
@@ -64,7 +70,12 @@ class Factor:
 class DesignSpec:
     """Declared factors plus the interaction pairs to model.
 
-    Interactions are pairs of 0-based factor indices.
+    Interactions are pairs of 0-based factor indices.  Each factor name
+    names a term of its own: it is non-empty and unique, it is not
+    ``mean`` or a row of the ANOVA table, and it holds no ``:`` (which
+    joins the names of an interaction) and no ``/``, ``\\`` or NUL (it
+    is part of artifact file names).  No pair is given twice, in either
+    order.
     """
 
     factors: tuple
@@ -74,20 +85,41 @@ class DesignSpec:
         if not self.factors:
             raise DegenerateFactor("a design needs at least one factor")
         n = self.factors[0].n_samples
+        seen = set()
         for f in self.factors:
             if f.n_samples != n:
                 raise DimensionMismatch(
                     f"factor '{f.name}' has {f.n_samples} samples, expected {n}"
                 )
+            bad = sorted(set(f.name) & set(":/\\\0"))
+            problem = ("is empty" if not f.name
+                       else "is repeated" if f.name in seen
+                       else "is reserved" if f.name in (MEAN_TERM, "Mean", "Residuals", "Total")
+                       else f"contains {bad[0]!r}" if bad else None)
+            if problem:
+                raise InvalidTerm(f"factor name {f.name!r} {problem}")
+            seen.add(f.name)
+        pairs = set()
         for i, j in self.interactions:
             if i == j:
                 raise DimensionMismatch("interaction pairs must name two distinct factors")
             if not (0 <= i < len(self.factors) and 0 <= j < len(self.factors)):
                 raise DimensionMismatch(f"interaction ({i}, {j}) references a missing factor")
+            if frozenset((i, j)) in pairs:
+                raise InvalidTerm(f"interaction {interaction_name(self, (i, j))!r} is repeated")
+            pairs.add(frozenset((i, j)))
 
     @property
     def n_samples(self):
         return self.factors[0].n_samples
+
+    @functools.cached_property
+    def term_factors(self):
+        """Factor indices of each model term, in column order: ``(k,)`` for
+        the main effect of factor ``k``, ``(i, j)`` for an interaction."""
+        terms = {f.name: (k,) for k, f in enumerate(self.factors)}
+        terms.update((interaction_name(self, pair), tuple(pair)) for pair in self.interactions)
+        return terms
 
     def factor_index(self, name):
         for k, f in enumerate(self.factors):
@@ -101,10 +133,12 @@ def interaction_name(spec, pair):
     return f"{spec.factors[i].name}:{spec.factors[j].name}"
 
 
-def _coding_columns(labels):
+def _coding_columns(factor):
     """Sum-to-zero coding columns for one factor (n x (L-1))."""
-    labels = np.asarray(labels)
+    labels = np.asarray(factor.labels)
     levels = np.unique(labels)
+    if levels.size < 2:
+        raise DegenerateFactor(f"factor '{factor.name}' has a single observed level")
     cols = np.zeros((labels.size, levels.size - 1))
     for j, lev in enumerate(levels[:-1]):
         cols[labels == lev, j] = 1.0
@@ -213,30 +247,16 @@ def encode(spec):
     n = spec.n_samples
     blocks = [np.ones((n, 1))]
     spans = {MEAN_TERM: slice(0, 1)}
-    dof = {MEAN_TERM: 1}
     start = 1
-
-    factor_blocks = []
-    for f in spec.factors:
-        levels = f.observed_levels()
-        if len(levels) < 2:
-            raise DegenerateFactor(f"factor '{f.name}' has a single observed level")
-        cols = _coding_columns(f.labels)
-        factor_blocks.append(cols)
+    coding = [_coding_columns(f) for f in spec.factors]
+    for term, parents in spec.term_factors.items():
+        cols = coding[parents[0]]
+        for k in parents[1:]:
+            # face-splitting product: every pairwise elementwise product of
+            # the parent coding columns
+            cols = (cols[:, :, None] * coding[k][:, None, :]).reshape(n, -1)
         blocks.append(cols)
-        spans[f.name] = slice(start, start + cols.shape[1])
-        dof[f.name] = cols.shape[1]
-        start += cols.shape[1]
-
-    for pair in spec.interactions:
-        a, b = factor_blocks[pair[0]], factor_blocks[pair[1]]
-        # face-splitting product: every pairwise elementwise product of the
-        # parent coding columns
-        cols = (a[:, :, None] * b[:, None, :]).reshape(n, -1)
-        name = interaction_name(spec, pair)
-        blocks.append(cols)
-        spans[name] = slice(start, start + cols.shape[1])
-        dof[name] = cols.shape[1]
+        spans[term] = slice(start, start + cols.shape[1])
         start += cols.shape[1]
 
     level_matrix = np.array([f.labels for f in spec.factors]).T
@@ -253,7 +273,7 @@ def encode(spec):
     return DesignMatrix(
         matrix=np.hstack(blocks),
         column_spans=spans,
-        dof=dof,
+        dof={t: span.stop - span.start for t, span in spans.items()},
         cell_ids=cell_ids.astype(np.intp),
         spec=spec,
     )

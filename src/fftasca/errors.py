@@ -1,39 +1,64 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+The base class of an error is its exit category on the command line:
+``ConfigInvalid`` 2, ``DataError`` 3, ``NumericError`` 4.
+"""
 
 
 class FftascaError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionMismatch(FftascaError):
+class DataError(FftascaError):
+    """The input data or design cannot be analyzed as given."""
+
+
+class NumericError(FftascaError):
+    """A computation on valid input failed or left its numeric range."""
+
+
+class DimensionMismatch(DataError):
     """Operands have incompatible shapes."""
 
 
-class NonConvergence(FftascaError):
+class NonConvergence(NumericError):
     """A matrix decomposition failed to converge."""
 
 
-class EmptySignal(FftascaError):
+class EmptySignal(DataError):
     """A transform was requested on a zero-length signal."""
 
 
-class DegenerateFactor(FftascaError):
+class DegenerateFactor(DataError):
     """A design factor has fewer than two observed levels."""
 
 
-class ZeroResidual(FftascaError):
+class InvalidTerm(DataError):
+    """A factor name or interaction pair cannot name a model term of its own."""
+
+
+class ZeroResidual(NumericError):
     """The residual sum of squares is zero; the model is saturated."""
 
 
-class UnknownTerm(FftascaError):
+class NonFiniteResult(NumericError, ValueError):
+    """A matrix, sum of squares, spectrum or imputed value is inf or nan.
+
+    Input files hold finite values only, so inside the package a non-finite
+    value is an overflow.  Also a ``ValueError``, which non-finite
+    arguments raised before this class existed.
+    """
+
+
+class UnknownTerm(DataError):
     """A term name does not exist in the fitted model."""
 
 
-class RankExceeded(FftascaError):
+class RankExceeded(NumericError):
     """More components were requested than the matrix rank supports."""
 
 
-class LengthMismatch(FftascaError):
+class LengthMismatch(DataError):
     """A signal length does not match the expected source length."""
 
 
@@ -41,11 +66,11 @@ class ConfigInvalid(FftascaError):
     """A generator or pipeline configuration violates its constraints."""
 
 
-class DomainError(FftascaError):
+class DomainError(NumericError):
     """A numeric argument lies outside the function's domain."""
 
 
-class ParseError(FftascaError):
+class ParseError(DataError):
     """A data file could not be parsed.
 
     Carries the 1-based line and column of the offending token.
@@ -57,7 +82,7 @@ class ParseError(FftascaError):
         self.column = column
 
 
-class IdMismatch(FftascaError):
+class IdMismatch(DataError):
     """Sample ids of two files do not agree; lists the offenders."""
 
     def __init__(self, message, missing_in_metadata=(), missing_in_data=()):
@@ -66,7 +91,7 @@ class IdMismatch(FftascaError):
         self.missing_in_data = tuple(missing_in_data)
 
 
-class RaggedRows(FftascaError):
+class RaggedRows(DataError):
     """Rows of a data file have unequal lengths."""
 
     def __init__(self, message, row=None):
@@ -74,7 +99,7 @@ class RaggedRows(FftascaError):
         self.row = row
 
 
-class EmptySeries(FftascaError):
+class EmptySeries(NumericError):
     """A plot was requested with no data series."""
 
 

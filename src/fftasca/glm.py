@@ -43,9 +43,11 @@ permutations to a direct re-imputation and refit.  An all-false mask takes
 the sample-kernel path.
 """
 
+import csv
 import math
 import warnings
 from dataclasses import dataclass, field
+from io import StringIO
 
 import numpy as np
 
@@ -53,6 +55,7 @@ from .design import MEAN_TERM, DistinctRows, permute_rows
 from .errors import (
     DimensionMismatch,
     EmptyCellWarning,
+    NonFiniteResult,
     RankWarning,
     UnknownTerm,
     ZeroResidual,
@@ -169,6 +172,13 @@ def f_ratio(decomp, term):
     return (ssq(effect) / nu1) / (res_ssq / nu2)
 
 
+def _csv_cell(text):
+    """``text`` as one CSV cell: quoted if it holds a comma, quote or line break."""
+    buf = StringIO()
+    csv.writer(buf).writerow([text])
+    return buf.getvalue()[:-2]
+
+
 @dataclass(frozen=True)
 class AnovaRow:
     term: str
@@ -203,7 +213,7 @@ class AnovaTable:
         lines = [",".join(self.COLUMNS)]
         for r in self.rows:
             cells = [
-                r.term,
+                _csv_cell(r.term),
                 f"{r.sum_sq:.17g}",
                 f"{r.perc_sum_sq:.17g}",
                 str(r.df),
@@ -290,7 +300,9 @@ def impute_cell_means(x, mask, dmatrix, warn_empty=True):
         raise DimensionMismatch("data rows do not match the design")
     if warn_empty:
         _warn_empty_cells(mask, dmatrix, stacklevel=2)
-    return _impute(x, mask, dmatrix.cell_rows, _grand_means(x, mask))
+    # cell means of finite values can overflow; that raises NonFiniteResult
+    return as_complex_matrix(_impute(x, mask, dmatrix.cell_rows, _grand_means(x, mask)),
+                             "imputed table")
 
 
 def _warn_empty_cells(mask, dmatrix, stacklevel):
@@ -493,6 +505,10 @@ def _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask):
     f_nominal = {
         t: (term_ssq0[t] / dmatrix.dof[t]) / (resid0 / nu2) for t in all_terms
     }
+    # every value of the table, percentages included, is finite if these are
+    nominal = np.array([total0, mean0, resid0, *term_ssq0.values(), *f_nominal.values()])
+    if not np.isfinite(100.0 * nominal).all():
+        raise NonFiniteResult("the sums of squares overflow the floating-point range")
 
     exhaustive = math.factorial(n) - 1 <= n_permutations
     if exhaustive:

@@ -7,6 +7,7 @@ categorical column per factor.  Floats are written with 17 significant
 digits so a write/read round trip is exact.
 """
 
+import collections
 import csv
 import itertools
 from io import StringIO
@@ -57,8 +58,8 @@ def _data_rows(fh, path):
 
 
 def _check_unique(ids, path):
-    if len(set(ids)) != len(ids):
-        dupes = sorted({s for s in ids if ids.count(s) > 1})
+    dupes = sorted(s for s, count in collections.Counter(ids).items() if count > 1)
+    if dupes:
         raise ParseError(f"{path}: duplicate sample ids {dupes}")
 
 
@@ -173,8 +174,9 @@ def read_design_spec(path, ids_order, interactions=()):
     the original strings retained as level names.
     """
     meta_ids, names, columns = read_metadata(path)
-    missing_meta = [s for s in ids_order if s not in set(meta_ids)]
-    missing_data = [s for s in meta_ids if s not in set(ids_order)]
+    meta_set, data_set = set(meta_ids), set(ids_order)
+    missing_meta = [s for s in ids_order if s not in meta_set]
+    missing_data = [s for s in meta_ids if s not in data_set]
     if missing_meta or missing_data:
         raise IdMismatch(
             f"{path}: sample ids disagree with the data file "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence
+from .errors import DimensionMismatch, NonConvergence, NonFiniteResult
 
 __all__ = [
     "SvdResult",
@@ -38,15 +38,15 @@ def as_complex_matrix(a, name="matrix"):
     ------
     DimensionMismatch
         If ``a`` is not two-dimensional.
-    ValueError
-        If any entry is NaN or infinite.
+    NonFiniteResult
+        If any entry is NaN or infinite (a ``ValueError`` too).
     """
     arr = np.asarray(a)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {arr.shape}")
     arr = arr.astype(np.complex128, copy=False)
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteResult(f"{name} contains non-finite entries")
     return arr
 
 

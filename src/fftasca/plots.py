@@ -19,9 +19,18 @@ PALETTE = (
 WIDTH, HEIGHT = 720, 440
 MARGIN = 56
 
+# markup escapes, and U+FFFD for the control characters XML cannot hold
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                           **{chr(c): "\ufffd" for c in range(32) if chr(c) not in "\t\n\r"}})
+
 
 def _fmt(v):
     return f"{v:.6g}"
+
+
+def _text(value):
+    """``value`` as XML text or a double-quoted attribute value."""
+    return value.translate(_XML_TEXT)
 
 
 def _normalize(series, kind):
@@ -60,6 +69,7 @@ def emit_svg(series, kind="line", title="", x_label="", y_label=""):
     if kind not in ("line", "scatter"):
         raise ValueError(f"unknown plot kind '{kind}'")
     data = _normalize(series, kind)
+    title, x_label, y_label = _text(title), _text(x_label), _text(y_label)
 
     xs = np.concatenate([x for x, _ in data.values()])
     ys = np.concatenate([y for _, y in data.values()])
@@ -110,6 +120,7 @@ def emit_svg(series, kind="line", title="", x_label="", y_label=""):
     )
 
     for idx, (name, (x, y)) in enumerate(data.items()):
+        name = _text(name)
         color = PALETTE[idx % len(PALETTE)]
         xy = tuple(np.column_stack((sx(x), sy(y))).ravel().tolist())
         if kind == "line":

@@ -76,7 +76,9 @@ def transform_rows(x):
     x = as_complex_matrix(x)
     if x.shape[1] == 0:
         raise EmptySignal("cannot transform zero-length rows")
-    return SpectrumMatrix(values=np.fft.fft(x, axis=1), source_length=x.shape[1])
+    # a finite signal can overflow; as_complex_matrix rejects that as NonFiniteResult
+    return SpectrumMatrix(values=as_complex_matrix(np.fft.fft(x, axis=1), "spectrum"),
+                          source_length=x.shape[1])
 
 
 def inverse_rows(spectrum):
@@ -84,7 +86,7 @@ def inverse_rows(spectrum):
     values = as_complex_matrix(spectrum.values, "spectrum")
     if values.shape[1] == 0:
         raise EmptySignal("cannot invert zero-length rows")
-    return np.fft.ifft(values, axis=1)
+    return as_complex_matrix(np.fft.ifft(values, axis=1), "inverse transform")
 
 
 def parseval_check(x):

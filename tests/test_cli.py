@@ -1,16 +1,27 @@
+import csv
+import itertools
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import fftasca
+from fftasca import errors
 from fftasca import io as dataio
 from fftasca.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, run_pipeline
 from fftasca.design import MAX_PERMUTATIONS, DesignSpec, encode
-from fftasca.glm import pcmr_permutation_test, zeros_to_missing
+from fftasca.glm import pcmr_permutation_test, permutation_test, zeros_to_missing
 from fftasca.synth import SynthConfig, generate
 
 
@@ -170,6 +181,30 @@ class TestAnalyze:
                    "--out-dir", out, "--no-timestamp") == EXIT_OK
         assert (out / "anova_trimmed.csv").exists()
         assert stream_draws == [(24, 99, 3)]
+
+    def test_trim_drops_an_interaction_without_both_parents(self, tmp_path):
+        # a and a:b planted, b null: the refit keeps a alone
+        a, b = np.repeat([0, 1], 10), np.tile(np.repeat([0, 1], 5), 2)
+        x = (np.random.default_rng(5).normal(size=(20, 8))
+             + 8.0 * (a + np.where(a == b, 1.0, -1.0))[:, None])
+        ids = [f"s{i}" for i in range(20)]
+        chrom, meta, out = tmp_path / "c.csv", tmp_path / "m.csv", tmp_path / "out"
+        dataio.write_chromatograms(chrom, ids, x)
+        meta.write_text("sample,a,b\n" + "".join(
+            f"{s},a{u},b{v}\n" for s, u, v in zip(ids, a, b)), encoding="utf-8")
+        assert run("analyze", chrom, meta, "--domain", "time", "--interactions", "a:b",
+                   "--trim", "--permutations", "99", "--seed", "2",
+                   "--out-dir", out, "--no-timestamp") == EXIT_OK
+        table = dataio.read_anova_csv(out / "anova.csv")
+        assert max(table.row("a").p_value, table.row("a:b").p_value) <= 0.05
+        assert table.row("b").p_value > 0.05
+        data, spec, _ = dataio.load_dataset(chrom, meta)
+        expected = permutation_test(data, encode(DesignSpec(factors=spec.factors[:1])),
+                                    n_permutations=99, seed=2)
+        assert (out / "anova_trimmed.csv").read_text(encoding="utf-8") == expected.to_csv()
+        # the interaction's samples are labelled by their pair of levels
+        legend = (out / "scores_a_x_b.svg").read_text(encoding="utf-8")
+        assert all(f">a{u}/b{v}</text>" in legend for u in (0, 1) for v in (0, 1))
 
     def test_rank_error_leaves_no_partial_out_dir(self, fixture_files, tmp_path, capsys):
         out = tmp_path / "out"
@@ -419,6 +454,28 @@ def _one_level(text):
     return "\n".join([header, *(line.split(",")[0] + ",same" for line in lines)]) + "\n"
 
 
+def _renamed(name):
+    """Metadata text edit: the factor ``group`` renamed to ``name``."""
+    return lambda text: text.replace("sample,group", f"sample,{name}", 1)
+
+
+def _with_factor(name):
+    """Metadata text edit: a second factor ``name`` alternating between two levels."""
+    def edit(text):
+        header, *lines = text.strip().split("\n")
+        return "\n".join([f"{header},{name}",
+                          *(f"{line},b{i % 2}" for i, line in enumerate(lines))]) + "\n"
+    return edit
+
+
+def _near_max(path, tmp):
+    """The chromatograms of ``path``, 40 columns of one sign near 1e307."""
+    ids, _, values = dataio.read_chromatograms(path)
+    out = tmp / "huge.csv"
+    dataio.write_chromatograms(out, ids, 1e307 * (1.0 + 0.01 * np.abs(values[:, :40])))
+    return out
+
+
 def _failing_svd(*args, **kwargs):
     raise np.linalg.LinAlgError("SVD did not converge")
 
@@ -457,6 +514,17 @@ EXIT_TABLE = [
     ("pcmr outside the time domain", lambda c, m, t: (
         "analyze", c, m, "--pcmr", "--domain", "freq", "--permutations", "9"),
      EXIT_CONFIG, "--pcmr"),
+    ("self interaction", lambda c, m, t: (
+        "analyze", c, m, "--interactions", "group:group", "--permutations", "9"),
+     EXIT_CONFIG, "'group:group' pairs a factor with itself"),
+    ("repeated interaction", lambda c, m, t: (
+        "analyze", c, _edited(m, t, "two.csv", _with_factor("batch")),
+        "--interactions", "group:batch", "--interactions", "group:batch", "--permutations", "9"),
+     EXIT_CONFIG, "'group:batch' repeats a pair"),
+    ("reversed interaction", lambda c, m, t: (
+        "analyze", c, _edited(m, t, "two.csv", _with_factor("batch")),
+        "--interactions", "group:batch", "--interactions", "batch:group", "--permutations", "9"),
+     EXIT_CONFIG, "'batch:group' repeats a pair"),
     ("missing file", lambda c, m, t: ("analyze", t / "absent.csv", m),
      EXIT_DATA, "absent.csv"),
     ("parse failure", lambda c, m, t: (
@@ -480,6 +548,33 @@ EXIT_TABLE = [
     ("degenerate factor", lambda c, m, t: (
         "analyze", c, _edited(m, t, "flat.csv", _one_level), "--permutations", "9"),
      EXIT_DATA, "single observed level"),
+    ("repeated factor name", lambda c, m, t: (
+        "analyze", c, _edited(m, t, "twice.csv", _with_factor("group")), "--permutations", "9"),
+     EXIT_DATA, "factor name 'group' is repeated"),
+    ("empty factor name", lambda c, m, t: (
+        "analyze", c, _edited(m, t, "empty.csv", _renamed("")), "--permutations", "9"),
+     EXIT_DATA, "factor name '' is empty"),
+    ("factor named mean", lambda c, m, t: (
+        "analyze", c, _edited(m, t, "mean.csv", _renamed("mean")), "--permutations", "9"),
+     EXIT_DATA, "factor name 'mean' is reserved"),
+    ("factor named as an ANOVA row", lambda c, m, t: (
+        "analyze", c, _edited(m, t, "total.csv", _renamed("Mean")), "--permutations", "9"),
+     EXIT_DATA, "factor name 'Mean' is reserved"),
+    ("colon in a factor name", lambda c, m, t: (
+        "analyze", c, _edited(m, t, "colon.csv", _renamed("a:b")), "--permutations", "19",
+        "--domain", "time", "--out-dir", t / "o"),
+     EXIT_DATA, "factor name 'a:b' contains ':'"),
+    ("slash in a factor name", lambda c, m, t: (
+        "analyze", c, _edited(m, t, "slash.csv", _renamed("a/x")), "--permutations", "19",
+        "--domain", "time", "--out-dir", t / "o"),
+     EXIT_DATA, "factor name 'a/x' contains '/'"),
+    ("NUL in a factor name", lambda c, m, t: (
+        "analyze", c, _edited(m, t, "nul.csv", _renamed("a\0")), "--permutations", "19",
+        "--domain", "time", "--out-dir", t / "o"),
+     EXIT_DATA, "factor name 'a\\x00' contains '\\x00'"),
+    ("empty spectrum rows", lambda c, m, t: (
+        "transform", _raw(t, "empty.csv", b"sample\ns0\n"), "--inverse", "--out", t / "o.csv"),
+     EXIT_DATA, "zero-length rows"),
     ("saturated model", lambda c, m, t: (
         "simulate", "--trials", "1", "--jitter-grid", "0:10:0", "--permutations", "5",
         "--replicates", "1", "--out-dir", t / "s"),
@@ -491,6 +586,27 @@ EXIT_TABLE = [
     ("non-convergence", lambda c, m, t: (
         "analyze", c, m, "--domain", "time", "--permutations", "9"),
      EXIT_NUMERIC, "did not converge"),
+    ("overflowing sums of squares", lambda c, m, t: (
+        "analyze", _near_max(c, t), m, "--domain", "time", "--permutations", "19",
+        "--out-dir", t / "o"),
+     EXIT_NUMERIC, "sums of squares overflow"),
+    ("overflowing magnitudes", lambda c, m, t: (
+        "analyze", _raw(t, "mag.csv", b"sample,t0,t1,t2\ns0,0,0,1.7976931348623157e308\n"
+                        b"s1,0,0,0\ns2,1,2,3\ns3,4,5,6\ns4,1,1,1\ns5,2,2,2\n"),
+        _raw(t, "g.csv", b"sample,g\ns0,a\ns1,a\ns2,a\ns3,b\ns4,b\ns5,b\n"),
+        "--domain", "mag", "--permutations", "9", "--out-dir", t / "o"),
+     EXIT_NUMERIC, "matrix contains non-finite entries"),
+    ("overflowing spectrum", lambda c, m, t: (
+        "transform", _near_max(c, t), "--out", t / "o.csv"),
+     EXIT_NUMERIC, "spectrum contains non-finite entries"),
+    ("overflowing inverse transform", lambda c, m, t: (
+        "transform", _raw(t, "spec.csv", b"sample,k0_re,k0_im,k1_re,k1_im\ns0,1e308,0,1e308,0\n"),
+        "--inverse", "--out", t / "o.csv"),
+     EXIT_NUMERIC, "inverse transform contains non-finite entries"),
+    ("overflowing cell means", lambda c, m, t: (
+        "impute", _raw(t, "p.csv", b"sample,t0\ns0,1e308\ns1,1e308\ns2,0\ns3,1\ns4,2\n"),
+        _raw(t, "g.csv", b"sample,g\ns0,a\ns1,a\ns2,a\ns3,b\ns4,b\n"), "--out", t / "o.csv"),
+     EXIT_NUMERIC, "imputed table contains non-finite entries"),
 ]
 
 
@@ -499,14 +615,148 @@ EXIT_TABLE = [
 def test_exit_code_table(fixture_files, tmp_path, capsys, monkeypatch, argv, code, message):
     if message == "did not converge":  # no input makes LAPACK fail, so force it
         monkeypatch.setattr(np.linalg, "svd", _failing_svd)
+    argv = argv(*fixture_files, tmp_path)
+    inputs = sorted(tmp_path.rglob("*"))
     try:
-        got = run(*argv(*fixture_files, tmp_path))
+        got = run(*argv)
     except SystemExit as exc:  # argparse rejects the command line itself
         got = exc.code
     err = capsys.readouterr().err
     assert got == code
     assert message in err
     assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == inputs  # a failed command writes nothing
+
+
+def test_every_error_class_has_an_exit_category():
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.FftascaError)]
+    assert len(classes) > 10
+    for cls in set(classes) - {errors.FftascaError}:
+        assert issubclass(cls, (errors.ConfigInvalid, errors.DataError, errors.NumericError))
+
+
+# header names that keep the factor-name rules, and names that break them
+FUZZ_NAMES = ("a", "b", "é", "nan", "<&")
+FUZZ_BAD_NAMES = ("a:b", "a/x", "c\\d", "mean", "Mean", "Total", "", "x:é")
+FUZZ_TOKENS = ("nan", "inf", "-inf", "", "junk", "1e999")
+
+
+@st.composite
+def cli_cases(draw):
+    """(factor names, level labels per sample, chromatogram tokens per sample, analyze flags).
+
+    About half the cases break no rule, and half of those give the first
+    factor an effect, so that the analysis runs through to its artifacts.
+    """
+    n = draw(st.integers(4, 12))
+    names = draw(st.lists(st.sampled_from(FUZZ_NAMES) | st.text(min_size=1, max_size=3),
+                          min_size=1, max_size=3, unique=True))
+    level = st.sampled_from(("x", "y", "ö", "<&"))
+    labels = [draw(st.lists(level, min_size=len(names), max_size=len(names)))
+              for _ in range(n)]
+    m = draw(st.integers(1, 6))
+    value = (st.floats(allow_nan=False, allow_infinity=False) if draw(st.booleans())
+             else st.floats(-1e3, 1e3) | st.just(0.0))
+    effect = draw(st.sampled_from((0.0, 1e4)))
+    cells = [[repr(v + effect * (labels[i][0] == labels[0][0]))
+              for v in draw(st.lists(value, min_size=m, max_size=m))] for i in range(n)]
+    fault = draw(st.sampled_from((None, None, None, "name", "label", "cell")))
+    if fault == "name":
+        names[-1] = draw(st.sampled_from(FUZZ_BAD_NAMES + tuple(names[:-1])))
+    elif fault == "label":
+        labels[draw(st.integers(0, n - 1))][0] = draw(st.sampled_from(("", "w")))
+    elif fault == "cell":
+        cells[draw(st.integers(0, n - 1))][draw(st.integers(0, m - 1))] = draw(
+            st.sampled_from(FUZZ_TOKENS))
+    flags = [f"--domain={draw(st.sampled_from(('time', 'freq', 'mag')))}",
+             f"--alpha={draw(st.sampled_from((0.05, 0.5)))}"]
+    flags += [flag for flag in ("--pcmr", "--center", "--trim") if draw(st.booleans())]
+    pairs = [*itertools.permutations(names, 2), (names[0], names[0])]
+    flags += [f"--interactions={a}:{b}" for a, b in
+              draw(st.lists(st.sampled_from(pairs), max_size=2 * (len(names) > 1)))]
+    return names, labels, cells, flags
+
+
+def _fuzz_case(names, levels, values, *flags):
+    """An explicit fuzz case: ``levels[k]`` gives sample i of factor k level
+    ``levels[k][i % len(levels[k])]``, and ``values(i, j)`` its j-th value."""
+    n, m = 12, 40
+    labels = [[lev[i % len(lev)] for lev in levels] for i in range(n)]
+    return names, labels, [[repr(values(i, j)) for j in range(m)] for i in range(n)], list(flags)
+
+
+def _distinct(i, j):
+    """Values whose level of a two-level factor, by the parity of i, stands out."""
+    return 1.0 + 10.0 * (i % 2) + 0.01 * ((5 * i + j) % 7)
+
+
+def _non_finite(path):
+    """Whether an artifact holds a nan or inf where it holds numbers."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".svg":
+        ElementTree.fromstring(text)  # well-formed, whatever the names
+        # titles and legends carry term and level names; the rest is numbers and markup
+        text = re.sub(r"<title>.*?</title>|data-series=\"[^\"]*\"|<text[^>]*"
+                      r"font-size=\"1[125]\"[^>]*>.*?</text>", "", text, flags=re.S)
+        return re.search("nan|inf", text, re.I) is not None
+    header, *rows = csv.reader(text.splitlines())
+    labelled = header[0] in ("sample", "term")  # the first column holds ids or terms
+    return not all(math.isfinite(float(cell)) for row in rows
+                   for cell in row[labelled:] if cell != "")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=cli_cases())
+@example(case=_fuzz_case(["a", "a"], ["xy", "pqr"], _distinct))
+@example(case=_fuzz_case(["mean", "b"], ["xy", "pqr"], _distinct))
+@example(case=_fuzz_case(["a:b", "b"], ["xy", "pqr"], _distinct, "--domain=time"))
+@example(case=_fuzz_case(["a/x", "b"], ["xy", "pqr"], _distinct, "--domain=time"))
+@example(case=_fuzz_case(["a", "b"], ["xy", "pqr"], _distinct,
+                         "--interactions=a:b", "--interactions=a:b"))
+@example(case=_fuzz_case(["a", "b"], ["xy", "pqr"], _distinct,
+                         "--interactions=a:b", "--interactions=b:a"))
+@example(case=_fuzz_case(["a", "b"], ["xy", "pqr"], _distinct, "--interactions=a:a"))
+@example(case=_fuzz_case(["a", "b"], ["xy", "pqr"],
+                         lambda i, j: 1e307 * (1 + 0.01 * ((7 * i + j) % 11)),
+                         "--domain=time"))
+def test_cli_fuzz_exits_cleanly(case):
+    """Any metadata, chromatograms and analyze flags end in a documented exit
+    code, with no traceback, no output on failure and no nan or inf on success."""
+    names, labels, cells, flags = case
+    ids = [f"s{i}" for i in range(len(cells))]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        chrom, meta = tmp / "c.csv", tmp / "m.csv"
+        chrom.write_text("".join(",".join(row) + "\n" for row in
+                                 [["sample", *(f"t{j}" for j in range(len(cells[0])))],
+                                  *([sid, *row] for sid, row in zip(ids, cells))]),
+                         encoding="utf-8")
+        with open(meta, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["sample", *names],
+                                      *([sid, *row] for sid, row in zip(ids, labels))])
+        commands = [
+            (tmp / "out", ("analyze", chrom, meta, *flags, "--permutations", "19",
+                           "--out-dir", tmp / "out")),
+            (tmp / "spec.csv", ("transform", chrom, "--out", tmp / "spec.csv")),
+            (tmp / "back.csv", ("transform", tmp / "spec.csv", "--inverse",
+                                "--out", tmp / "back.csv")),
+            (tmp / "imputed.csv", ("impute", chrom, meta, "--out", tmp / "imputed.csv")),
+        ]
+        for out, argv in commands:
+            if argv[1] == tmp / "spec.csv" and not argv[1].exists():
+                continue
+            err = StringIO()
+            with redirect_stderr(err), redirect_stdout(StringIO()):
+                code = run(*argv)
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC), (argv[0], code)
+            assert "Traceback" not in err.getvalue()
+            written = [out, *out.rglob("*")] if out.exists() else []
+            if code != EXIT_OK:
+                assert not written, (argv[0], code, err.getvalue())
+            for path in written:
+                if path.suffix in (".csv", ".svg"):
+                    assert not _non_finite(path), (argv[0], path.name)
 
 
 def test_cli_import_leaves_scipy_unloaded():

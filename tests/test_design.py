@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from fftasca.errors import (
     ConfigInvalid,
     DegenerateFactor,
     DimensionMismatch,
+    InvalidTerm,
     UnbalancedDesignWarning,
 )
 from fftasca.linalg import numerical_rank, pinv
@@ -90,6 +92,36 @@ class TestEncode:
             DesignSpec(factors=(a,), interactions=((0, 0),))
         with pytest.raises(DimensionMismatch):
             DesignSpec(factors=(a,), interactions=((0, 3),))
+
+    @pytest.mark.parametrize("names, message", [
+        (("a", "a"), "'a' is repeated"), (("",), "'' is empty"), (("mean",), "'mean' is reserved"),
+        (("Mean",), "'Mean' is reserved"), (("Residuals",), "'Residuals' is reserved"),
+        (("Total",), "'Total' is reserved"), (("a:b",), "'a:b' contains ':'"),
+        (("a/x",), "'a/x' contains '/'"), (("a\\x",), "contains '\\\\'"),
+        (("a\0",), "contains '\\x00'"),
+    ])
+    def test_factor_name_that_cannot_name_a_term_rejected(self, names, message):
+        factors = tuple(Factor.from_labels(name, [0, 1]) for name in names)
+        with pytest.raises(InvalidTerm, match=re.escape(message)):
+            DesignSpec(factors=factors)
+
+    @pytest.mark.parametrize("pairs", [((0, 1), (0, 1)), ((0, 1), (1, 0))])
+    def test_repeated_interaction_rejected(self, pairs):
+        a, b = Factor.from_labels("a", [0, 1]), Factor.from_labels("b", [0, 1])
+        with pytest.raises(InvalidTerm, match="interaction '(a:b|b:a)' is repeated"):
+            DesignSpec(factors=(a, b), interactions=pairs)
+
+    def test_term_factors_follow_the_column_order(self):
+        a = Factor.from_labels("a", [0, 0, 1, 1, 2, 2] * 2)
+        b = Factor.from_labels("b", [0] * 6 + [1] * 6)
+        c = Factor.from_labels("c", [0, 1] * 6)
+        spec = DesignSpec(factors=(a, b, c), interactions=((2, 0), (0, 1)))
+        assert spec.term_factors == {"a": (0,), "b": (1,), "c": (2,), "c:a": (2, 0),
+                                     "a:b": (0, 1)}
+        dm = encode(spec)
+        assert dm.terms == list(spec.term_factors)
+        assert np.array_equal(dm.columns_for("c:a")[:, 0],
+                              dm.columns_for("c")[:, 0] * dm.columns_for("a")[:, 0])
 
     def test_balanced_blocks_mutually_orthogonal(self):
         spec, _ = two_by_two(reps=3)

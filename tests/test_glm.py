@@ -12,6 +12,7 @@ from fftasca.design import DesignSpec, Factor, encode, permute_rows
 from fftasca.errors import (
     DimensionMismatch,
     EmptyCellWarning,
+    NonFiniteResult,
     RankWarning,
     UnbalancedDesignWarning,
     UnknownTerm,
@@ -260,6 +261,16 @@ class TestPermutationTest:
                 pcmr_permutation_test(x, x < 2.5, dm, n_permutations=5)
             else:
                 permutation_test(x, dm, n_permutations=5)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_overflowing_table_raises(self, masked):
+        # the total, 1.3e307, is finite; 100 times the Mean row's 6.25e306 is not
+        x = np.array([[3e153, 1.0], [2e153, 0.0], [1.0, 1.0], [1.0, 2.0]])
+        with pytest.raises(NonFiniteResult):
+            if masked:
+                pcmr_permutation_test(x, x == 0.0, one_factor(2), n_permutations=5)
+            else:
+                permutation_test(x, one_factor(2), n_permutations=5)
 
     def test_determinism(self):
         rng = np.random.default_rng(8)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -61,8 +63,8 @@ class TestChromatograms:
 
     def test_duplicate_ids_rejected(self, tmp_path):
         p = tmp_path / "dup.csv"
-        write(p, "sample,t0\ns1,1\ns1,2\n")
-        with pytest.raises(ParseError):
+        write(p, "sample,t0\ns1,1\ns2,2\ns1,3\ns0,4\ns2,5\ns1,6\n")
+        with pytest.raises(ParseError, match=r"duplicate sample ids \['s1', 's2'\]"):
             dataio.read_chromatograms(p)
 
 
@@ -123,6 +125,18 @@ class TestMetadataAndJoin:
             dataio.load_dataset(c, m)
         assert "s3" in err.value.missing_in_metadata
 
+    def test_aligns_many_shuffled_ids_in_linear_time(self, tmp_path):
+        # a set rebuilt per id made this quadratic: 20,000 ids took over a minute
+        n = 20_000
+        ids = [f"s{i}" for i in range(n)]
+        m = tmp_path / "m.csv"
+        write(m, "sample,group\n" + "".join(
+            f"s{i},g{i % 3}\n" for i in np.random.default_rng(0).permutation(n)))
+        start = time.perf_counter()
+        spec = dataio.read_design_spec(m, ids)
+        assert time.perf_counter() - start < 5.0
+        assert spec.factors[0].labels == tuple(i % 3 for i in range(n))
+
     def test_empty_metadata_cell_rejected(self, tmp_path):
         c, m = tmp_path / "c.csv", tmp_path / "m.csv"
         write(c, CHROM)
@@ -165,6 +179,19 @@ class TestAnovaCsv:
         # full float precision survives the trip
         assert back.row("a").sum_sq == table.row("a").sum_sq
         assert back.row("a").f == table.row("a").f
+
+    def test_term_names_that_need_quotes_round_trip(self, tmp_path):
+        from fftasca.design import DesignSpec, Factor
+        names = ('a,b', 'say "b"', "c\rd\ne")
+        dm = encode(DesignSpec(factors=tuple(
+            Factor.from_labels(name, labels) for name, labels in
+            zip(names, ([0, 1] * 4, [0, 0, 1, 1] * 2, [0] * 4 + [1] * 4)))))
+        table = permutation_test(np.arange(40.0).reshape(8, 5) % 7, dm, n_permutations=9)
+        p = tmp_path / "anova.csv"
+        dataio.write_anova_csv(p, table)
+        back = dataio.read_anova_csv(p)
+        assert [r.term for r in back.rows] == ["Mean", *names, "Residuals", "Total"]
+        assert back.row("c\rd\ne").sum_sq == table.row("c\rd\ne").sum_sq
 
     def test_header_mismatch_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"

@@ -1,3 +1,5 @@
+from xml.etree import ElementTree
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,13 @@ class TestEmitSvg:
         assert "ctrl" in svg and "treated" in svg
         # distinct marker colors
         assert 'data-series="ctrl"' in svg and 'data-series="treated"' in svg
+
+    def test_names_are_escaped_into_well_formed_xml(self):
+        name = 'a<b & "c"\x01'
+        svg = emit_svg({name: np.arange(3.0)}, kind="scatter", title=f"scores: {name}")
+        root = ElementTree.fromstring(svg)
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert 'scores: a<b & "c"\ufffd' in texts and 'a<b & "c"\ufffd' in texts
 
     def test_byte_identical_across_runs(self):
         rng = np.random.default_rng(1)
