@@ -37,10 +37,10 @@ print(f"{data.x_time.shape[0]} samples x {data.x_time.shape[1]} acquisitions, "
 dmatrix = encode(data.design)
 spectra = transform_rows(data.x_time.astype(complex))
 
-table = permutation_test(spectra.values, dmatrix, n_permutations=999, seed=3)
+table = permutation_test(spectra, dmatrix, n_permutations=999, seed=3)
 print(table.to_text())
 
-effect = fit(spectra.values, dmatrix)
+effect = fit(spectra, dmatrix)
 # the effect has one distinct row per level: the SVD runs on those rows only
 rows = effect.distinct_rows("group")
 n_comp = default_components(effect.effect("group"), cap=max(effect.dof["group"], 1),
@@ -56,16 +56,16 @@ with open(os.path.join(out_dir, "scores.svg"), "w", encoding="utf-8") as fh:
     fh.write(emit_svg(groups, kind="scatter", title="factor scores",
                       x_label="sample", y_label="component 1"))
 
-view = loadings_to_time(model, spectra.source_length)
+view = loadings_to_time(model)
 print(f"loading back-transform imaginary residue: {view.imag_residue:.2e}")
 with open(os.path.join(out_dir, "loading_time.svg"), "w", encoding="utf-8") as fh:
-    fh.write(emit_svg({"component 1": view.loadings_time[:, 0]}, kind="line",
+    fh.write(emit_svg({"component 1": view.values[:, 0]}, kind="line",
                       title="time-domain loading", x_label="acquisition",
                       y_label="loading"))
 
 traces = effect_to_time(effect, "group")
-level_means = {"level 0": traces.effect_time[:5].mean(axis=0),
-               "level 1": traces.effect_time[5:].mean(axis=0)}
+level_means = {"level 0": traces.values[:5].mean(axis=0),
+               "level 1": traces.values[5:].mean(axis=0)}
 with open(os.path.join(out_dir, "effect_time.svg"), "w", encoding="utf-8") as fh:
     fh.write(emit_svg(level_means, kind="line", title="time-domain effect",
                       x_label="acquisition", y_label="intensity"))

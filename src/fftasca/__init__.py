@@ -19,7 +19,6 @@ from .errors import (
     FftascaError,
     IdMismatch,
     InvalidTerm,
-    LengthMismatch,
     NonConvergence,
     NonFiniteResult,
     NumericError,
@@ -52,7 +51,6 @@ from .sca import (
     sca_fit,
 )
 from .spectral import (
-    SpectrumMatrix,
     dft_forward,
     dft_inverse,
     inverse_rows,
@@ -79,7 +77,6 @@ __all__ = [
     "GlmDecomposition",
     "IdMismatch",
     "InvalidTerm",
-    "LengthMismatch",
     "NonConvergence",
     "NonFiniteResult",
     "NumericError",
@@ -88,7 +85,6 @@ __all__ = [
     "RankExceeded",
     "RankWarning",
     "ScaModel",
-    "SpectrumMatrix",
     "SynthConfig",
     "SynthDataset",
     "TimeDomainView",

@@ -9,8 +9,9 @@ Subcommands:
 * ``transform``  forward/inverse transform of a matrix file.
 * ``impute``     preview of cell-mean replacement on a peak table.
 
-Exit codes: 0 success, 2 configuration errors, 3 data/parse errors,
-4 numeric failures.
+Exit codes: 0 success, 2 configuration errors, 3 data/parse errors and
+files that cannot be read or written, 4 numeric failures and exhausted
+memory.
 """
 
 import argparse
@@ -33,8 +34,8 @@ from .glm import (
     zeros_to_missing,
 )
 from .linalg import mean_center_columns
-from .sca import effect_to_time, loadings_to_time, real_scores, sca_fit
-from .spectral import SpectrumMatrix, inverse_rows, transform_rows
+from .sca import _real_part, effect_to_time, loadings_to_time, real_scores, sca_fit
+from .spectral import inverse_rows, transform_rows
 from .synth import SynthConfig, generate, jitter_experiment
 
 EXIT_OK = 0
@@ -183,7 +184,7 @@ def _write_anova(out_dir, name, table):
     _write_text(os.path.join(out_dir, f"{name}.txt"), table.to_text())
 
 
-def _emit_term_artifacts(args, out_dir, model, decomp, spec, ids, source_len):
+def _emit_term_artifacts(args, out_dir, model, decomp, spec, ids):
     term = model.term
     n_comp = model.n_components
     stem = _term_filename(term)
@@ -197,7 +198,7 @@ def _emit_term_artifacts(args, out_dir, model, decomp, spec, ids, source_len):
                 y_label="component 2" if n_comp >= 2 else "component 1")
 
     if args.domain == "freq":
-        loadings = loadings_to_time(model, source_len).loadings_time
+        loadings = loadings_to_time(model).values
         name, title, x_label = "loadings_time", "time-domain loadings", "acquisition"
     else:
         loadings = model.loadings.real
@@ -209,7 +210,7 @@ def _emit_term_artifacts(args, out_dir, model, decomp, spec, ids, source_len):
     if args.domain == "freq":
         # every sample of a level has its level's row: write and plot the distinct rows
         rows = decomp.distinct_rows(term)
-        levels = effect_to_time(decomp, term).effect_time[rows.first]
+        levels = effect_to_time(decomp, term).values[rows.first]
         level_traces = {lab: levels[rows.inverse[labels.index(lab)]]
                         for lab in sorted(set(labels))}
         _write_pair(out_dir, f"effect_time_{stem}", [f"t{j}" for j in range(levels.shape[1])],
@@ -247,8 +248,7 @@ def _cmd_analyze(args):
         data = x
     else:
         spectra = transform_rows(x)
-        data = spectra.values if args.domain == "freq" else np.abs(spectra.values)
-    source_len = x.shape[1]
+        data = spectra if args.domain == "freq" else np.abs(spectra)
 
     def run_test(dm):
         if mask is None:
@@ -282,7 +282,7 @@ def _cmd_analyze(args):
     os.makedirs(args.out_dir, exist_ok=True)
     _write_anova(args.out_dir, "anova", table)
     for model in models:
-        _emit_term_artifacts(args, args.out_dir, model, decomp, spec, ids, source_len)
+        _emit_term_artifacts(args, args.out_dir, model, decomp, spec, ids)
 
     if args.trim:
         # keep the significant factors, and the significant interactions of two of them
@@ -370,17 +370,15 @@ def _cmd_simulate(args):
 def _cmd_transform(args):
     if args.inverse:
         ids, values = dataio.read_complex_matrix(args.input)
-        back = inverse_rows(SpectrumMatrix(values=values, source_length=values.shape[1]))
-        residue = float(np.max(np.abs(back.imag))) if back.size else 0.0
-        scale = float(np.max(np.abs(back.real))) if back.size else 1.0
+        back, residue = _real_part(inverse_rows(values))
+        scale = float(np.max(np.abs(back))) if back.size else 1.0
         if residue > 1e-6 * max(scale, 1.0):
             sys.stderr.write(
                 f"warning: discarding imaginary parts up to {residue:.3g}\n")
-        dataio.write_chromatograms(args.out, ids, back.real)
+        dataio.write_chromatograms(args.out, ids, back)
     else:
         ids, _, values = dataio.read_chromatograms(args.input)
-        spectra = transform_rows(values.astype(np.complex128))
-        dataio.write_complex_matrix(args.out, ids, spectra.values)
+        dataio.write_complex_matrix(args.out, ids, transform_rows(values))
     return EXIT_OK
 
 
@@ -409,11 +407,14 @@ def run_pipeline(argv=None):
     except ConfigInvalid as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         sys.stderr.write(f"data error: {exc}\n")
         return EXIT_DATA
     except NumericError as exc:
         sys.stderr.write(f"numeric error: {exc}\n")
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        sys.stderr.write(f"numeric error: out of memory{f': {exc}' if str(exc) else ''}\n")
         return EXIT_NUMERIC
     except FftascaError as exc:
         sys.stderr.write(f"error: {exc}\n")

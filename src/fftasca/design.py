@@ -74,8 +74,10 @@ class DesignSpec:
     names a term of its own: it is non-empty and unique, it is not
     ``mean`` or a row of the ANOVA table, and it holds no ``:`` (which
     joins the names of an interaction) and no ``/``, ``\\`` or NUL (it
-    is part of artifact file names).  No pair is given twice, in either
-    order.
+    is part of artifact file names).  It is at most 100 UTF-8 bytes long,
+    so that the longest artifact name, ``loadings_time_<a>_x_<b>.svg``,
+    stays within the 255-byte file-name limit.  No pair is given twice,
+    in either order.
     """
 
     factors: tuple
@@ -95,7 +97,9 @@ class DesignSpec:
             problem = ("is empty" if not f.name
                        else "is repeated" if f.name in seen
                        else "is reserved" if f.name in (MEAN_TERM, "Mean", "Residuals", "Total")
-                       else f"contains {bad[0]!r}" if bad else None)
+                       else f"contains {bad[0]!r}" if bad
+                       else "is longer than 100 UTF-8 bytes" if len(f.name.encode()) > 100
+                       else None)
             if problem:
                 raise InvalidTerm(f"factor name {f.name!r} {problem}")
             seen.add(f.name)
@@ -388,7 +392,10 @@ def permute_rows(n, count, seed=0, exhaustive=False):
     if n < 1:
         raise DimensionMismatch("need at least one row to permute")
     if exhaustive:
-        perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+        # filled in place: no list of n! tuples, and an oversized request
+        # fails at the one allocation
+        perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                            np.intp, count=n * math.factorial(n)).reshape(-1, n)
         perms.flags.writeable = False
         return perms
     if not 0 <= count <= MAX_PERMUTATIONS:

@@ -58,10 +58,6 @@ class RankExceeded(NumericError):
     """More components were requested than the matrix rank supports."""
 
 
-class LengthMismatch(DataError):
-    """A signal length does not match the expected source length."""
-
-
 class ConfigInvalid(FftascaError):
     """A generator or pipeline configuration violates its constraints."""
 

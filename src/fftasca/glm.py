@@ -66,7 +66,6 @@ __all__ = [
     "GlmDecomposition",
     "AnovaRow",
     "AnovaTable",
-    "MissingMask",
     "fit",
     "f_ratio",
     "permutation_test",

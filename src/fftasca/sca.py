@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import DistinctRows
-from .errors import DimensionMismatch, LengthMismatch, RankExceeded
+from .errors import DimensionMismatch, RankExceeded
 from .linalg import as_complex_matrix, rank_from_singular_values, svd
-from .spectral import SpectrumMatrix, dft_inverse, inverse_rows, reversed_conjugate
+from .spectral import inverse_rows, reversed_conjugate
 
 __all__ = [
     "ScaModel",
@@ -71,17 +71,21 @@ class ScaModel:
 
 @dataclass(frozen=True)
 class TimeDomainView:
-    """Real-valued back-transform of frequency-domain quantities.
+    """Real part of a back-transform to the time domain.
 
-    Exactly one of ``loadings_time`` (M x R) and ``effect_time`` (N x M) is
-    set, depending on which object was transformed.  ``imag_residue`` is
-    the largest imaginary magnitude discarded when taking the real part;
-    for models built from spectra of real signals it is at noise level.
+    ``values`` holds the loadings (M x R) or the effect (N x M) in the time
+    domain.  ``imag_residue`` is the largest imaginary magnitude discarded
+    when taking the real part; for models built from spectra of real
+    signals it is at noise level.
     """
 
-    loadings_time: np.ndarray = None
-    effect_time: np.ndarray = None
-    imag_residue: float = 0.0
+    values: np.ndarray
+    imag_residue: float
+
+
+def _real_part(time):
+    """``time.real`` and the largest imaginary magnitude it discards."""
+    return time.real, float(np.max(np.abs(time.imag))) if time.size else 0.0
 
 
 def _canonical_phase(column):
@@ -190,7 +194,7 @@ def _component_count(s, rank, cap, threshold=0.95):
     return max(1, min(wanted, cap, rank))
 
 
-def loadings_to_time(model, source_length):
+def loadings_to_time(model):
     """Back-transform the loadings of a frequency-domain model.
 
     Row ``r`` of the conjugate-transposed loadings is what multiplies the
@@ -198,15 +202,8 @@ def loadings_to_time(model, source_length):
     inverse transform; the result therefore has the same orientation as
     the time profiles present in the data rows.
     """
-    if model.loadings.shape[0] != source_length:
-        raise LengthMismatch(
-            f"loadings have {model.loadings.shape[0]} bins, expected {source_length}"
-        )
-    time = np.empty((source_length, model.n_components), dtype=np.complex128)
-    for r in range(model.n_components):
-        time[:, r] = dft_inverse(np.conj(model.loadings[:, r]))
-    residue = float(np.max(np.abs(time.imag))) if time.size else 0.0
-    return TimeDomainView(loadings_time=time.real.copy(), imag_residue=residue)
+    time = inverse_rows(np.conj(model.loadings).T).T
+    return TimeDomainView(*_real_part(time))
 
 
 def effect_to_time(decomp, term, include_mean=False):
@@ -221,9 +218,8 @@ def effect_to_time(decomp, term, include_mean=False):
     values = decomp.effect(term)[rows.first]
     if include_mean:
         values = values + decomp.grand_mean_row
-    time = inverse_rows(SpectrumMatrix(values=values, source_length=values.shape[1]))
-    residue = float(np.max(np.abs(time.imag))) if time.size else 0.0
-    return TimeDomainView(effect_time=time.real[rows.inverse], imag_residue=residue)
+    time, residue = _real_part(inverse_rows(values))
+    return TimeDomainView(values=time[rows.inverse], imag_residue=residue)
 
 
 def real_scores(model):

@@ -13,15 +13,12 @@ is gained or lost relative to a half-spectrum representation, while exact
 invertibility is kept.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EmptySignal
 from .linalg import as_complex_matrix
 
 __all__ = [
-    "SpectrumMatrix",
     "dft_forward",
     "dft_inverse",
     "transform_rows",
@@ -51,42 +48,23 @@ def dft_inverse(spectrum):
     return np.fft.ifft(spectrum.astype(np.complex128, copy=False))
 
 
-@dataclass(frozen=True)
-class SpectrumMatrix:
-    """N samples by M frequency bins, full spectrum.
-
-    ``source_length`` records the original signal length M (equal to the
-    number of columns, kept explicit so downstream back-transforms can
-    check consistency).
-    """
-
-    values: np.ndarray
-    source_length: int
-
-    def __post_init__(self):
-        if self.values.shape[1] != self.source_length:
-            raise EmptySignal(
-                f"spectrum has {self.values.shape[1]} bins but source length "
-                f"{self.source_length}"
-            )
-
-
 def transform_rows(x):
-    """Forward-transform every row of a matrix; returns a SpectrumMatrix."""
+    """Forward-transform every row of an N x M matrix; returns the N x M
+    complex spectrum, all M bins of each row."""
     x = as_complex_matrix(x)
     if x.shape[1] == 0:
         raise EmptySignal("cannot transform zero-length rows")
     # a finite signal can overflow; as_complex_matrix rejects that as NonFiniteResult
-    return SpectrumMatrix(values=as_complex_matrix(np.fft.fft(x, axis=1), "spectrum"),
-                          source_length=x.shape[1])
+    return as_complex_matrix(np.fft.fft(x, axis=1), "spectrum")
 
 
 def inverse_rows(spectrum):
-    """Inverse-transform every row of a SpectrumMatrix back to a matrix."""
-    values = as_complex_matrix(spectrum.values, "spectrum")
-    if values.shape[1] == 0:
+    """Inverse-transform every row of an N x M spectrum; returns the N x M
+    complex matrix."""
+    spectrum = as_complex_matrix(spectrum, "spectrum")
+    if spectrum.shape[1] == 0:
         raise EmptySignal("cannot invert zero-length rows")
-    return as_complex_matrix(np.fft.ifft(values, axis=1), "inverse transform")
+    return as_complex_matrix(np.fft.ifft(spectrum, axis=1), "inverse transform")
 
 
 def parseval_check(x):

@@ -317,9 +317,8 @@ def jitter_experiment(config, jitter_levels, trials, n_permutations=200, seed=0)
             table_time = permutation_test(
                 data.x_time, dmatrix, n_permutations=n_permutations, seed=perm_seed
             )
-            spectra = transform_rows(data.x_time)
             table_freq = permutation_test(
-                np.abs(spectra.values), dmatrix,
+                np.abs(transform_rows(data.x_time)), dmatrix,
                 n_permutations=n_permutations, seed=perm_seed,
             )
             results.append(JitterTrial(

@@ -27,7 +27,6 @@ from fftasca.glm import (
 from fftasca.linalg import ssq
 from fftasca.sca import sca_fit
 from fftasca.spectral import (
-    SpectrumMatrix,
     dft_forward,
     dft_inverse,
     inverse_rows,
@@ -89,7 +88,7 @@ def test_criterion_02_parseval_constant():
         m = int(rng.integers(2, 400))
         x = rng.normal(size=(n, m))
         spec = transform_rows(x.astype(complex))
-        freq = ssq(spec.values)
+        freq = ssq(spec)
         tim = float(np.sum(x * x))
         assert freq == pytest.approx(m * tim, rel=1e-10)
     report(2, "freq-domain ssq equals M times time-domain ssq on 50 matrices")
@@ -125,7 +124,7 @@ def test_criterion_04_balanced_partition_both_domains():
     x[6:] += 0.7
     for domain in ("time", "freq"):
         data = x.astype(complex) if domain == "time" \
-            else transform_rows(x.astype(complex)).values
+            else transform_rows(x.astype(complex))
         dec = fit(data, dm)
         parts = ssq(np.ones((12, 1)) @ dec.grand_mean_row) \
             + sum(ssq(e) for e in dec.effects.values()) + ssq(dec.residuals)
@@ -139,7 +138,7 @@ def test_criterion_05_time_frequency_equivalence():
     dm_single = encode(data.design)
     t_time = permutation_test(data.x_time, dm_single,
                               n_permutations=300, seed=9)
-    t_freq = permutation_test(transform_rows(data.x_time.astype(complex)).values,
+    t_freq = permutation_test(transform_rows(data.x_time.astype(complex)),
                               dm_single, n_permutations=300, seed=9)
     assert t_freq.row("group").f == pytest.approx(t_time.row("group").f, rel=1e-9)
     assert t_freq.row("group").p_value == t_time.row("group").p_value
@@ -149,7 +148,7 @@ def test_criterion_05_time_frequency_equivalence():
     x = rng.normal(size=(12, 96))
     x[6:] += 0.5
     tt = permutation_test(x.astype(complex), dm, n_permutations=199, seed=3)
-    tf = permutation_test(transform_rows(x.astype(complex)).values, dm,
+    tf = permutation_test(transform_rows(x.astype(complex)), dm,
                           n_permutations=199, seed=3)
     for term in ("a", "b", "a:b"):
         assert tf.row(term).f == pytest.approx(tt.row(term).f, rel=1e-9)
@@ -285,10 +284,10 @@ def test_criterion_10_sca_identities():
     x = rng.normal(size=(12, 200))
     x[6:] += 0.4
     dm = balanced_2x2x3()
-    dec = fit(transform_rows(x.astype(complex)).values, dm)
+    dec = fit(transform_rows(x.astype(complex)), dm)
     total = np.ones((12, 1)) @ dec.grand_mean_row \
         + sum(dec.effects.values()) + dec.residuals
-    back = inverse_rows(SpectrumMatrix(values=total, source_length=200))
+    back = inverse_rows(total)
     assert np.max(np.abs(back.real - x)) < 1e-8
     assert np.max(np.abs(back.imag)) < 1e-8
     report(10, "scores*loadings^H reconstructs effects; the back-transform "

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fftasca
-from fftasca import errors
+from fftasca import design, errors
 from fftasca import io as dataio
 from fftasca.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, run_pipeline
 from fftasca.design import MAX_PERMUTATIONS, DesignSpec, encode
@@ -568,6 +568,14 @@ EXIT_TABLE = [
         "analyze", c, _edited(m, t, "slash.csv", _renamed("a/x")), "--permutations", "19",
         "--domain", "time", "--out-dir", t / "o"),
      EXIT_DATA, "factor name 'a/x' contains '/'"),
+    ("factor name past 100 UTF-8 bytes", lambda c, m, t: (
+        "analyze", c, _edited(m, t, "long.csv", _renamed("é" * 50 + "a")), "--permutations", "19",
+        "--domain", "time", "--out-dir", t / "o"),
+     EXIT_DATA, "is longer than 100 UTF-8 bytes"),
+    ("directory as transform input", lambda c, m, t: ("transform", t, "--out", t / "o.csv"),
+     EXIT_DATA, "Is a directory"),
+    ("directory as analyze input", lambda c, m, t: ("analyze", c, t, "--permutations", "9"),
+     EXIT_DATA, "Is a directory"),
     ("NUL in a factor name", lambda c, m, t: (
         "analyze", c, _edited(m, t, "nul.csv", _renamed("a\0")), "--permutations", "19",
         "--domain", "time", "--out-dir", t / "o"),
@@ -626,6 +634,28 @@ def test_exit_code_table(fixture_files, tmp_path, capsys, monkeypatch, argv, cod
     assert message in err
     assert "Traceback" not in err
     assert sorted(tmp_path.rglob("*")) == inputs  # a failed command writes nothing
+
+
+@pytest.mark.parametrize("permutations, owner, allocator", [
+    ("22", design, "_draw_stream"), ("23", np, "fromiter")], ids=["random stream", "enumeration"])
+def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch, permutations, owner, allocator):
+    # four samples: 22 permutations are drawn, 23 enumerate the 4! - 1 others
+    chrom = _raw(tmp_path, "c.csv", b"sample,t0,t1\ns0,1,2\ns1,2,3\ns2,5,1\ns3,7,2\n")
+    meta = _raw(tmp_path, "m.csv", b"sample,g\ns0,a\ns1,a\ns2,b\ns3,b\n")
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 46.0 GiB")
+
+    monkeypatch.setattr(owner, allocator, exhausted)
+    design._cached_stream.cache_clear()
+    inputs = sorted(tmp_path.rglob("*"))
+    got = run("analyze", chrom, meta, "--domain", "time", "--permutations", permutations,
+              "--out-dir", tmp_path / "o")
+    err = capsys.readouterr().err
+    assert got == EXIT_NUMERIC
+    assert "out of memory: Unable to allocate" in err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == inputs
 
 
 def test_every_error_class_has_an_exit_category():

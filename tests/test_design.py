@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import warnings
 
@@ -105,6 +106,19 @@ class TestEncode:
         with pytest.raises(InvalidTerm, match=re.escape(message)):
             DesignSpec(factors=factors)
 
+    @pytest.mark.parametrize("name, ok", [
+        ("a" * 100, True), ("a" * 101, False),
+        ("é" * 50, True), ("é" * 50 + "a", False), ("é" * 51, False),
+    ], ids=["100 bytes", "101 bytes", "100 bytes in 50 chars", "101 bytes in 51 chars",
+            "102 bytes in 51 chars"])
+    def test_factor_name_bound_counts_utf8_bytes(self, name, ok):
+        factors = (Factor.from_labels(name, [0, 1]),)
+        if ok:
+            assert DesignSpec(factors=factors).factors[0].name == name
+        else:
+            with pytest.raises(InvalidTerm, match="is longer than 100 UTF-8 bytes"):
+                DesignSpec(factors=factors)
+
     @pytest.mark.parametrize("pairs", [((0, 1), (0, 1)), ((0, 1), (1, 0))])
     def test_repeated_interaction_rejected(self, pairs):
         a, b = Factor.from_labels("a", [0, 1]), Factor.from_labels("b", [0, 1])
@@ -196,10 +210,10 @@ class TestIsBalanced:
 
 class TestPermuteRows:
     def test_exhaustive_lists_every_permutation_once(self):
-        perms = permute_rows(3, 0, exhaustive=True)
-        assert perms.shape == (6, 3)
-        seen = {tuple(p) for p in perms}
-        assert seen == set(itertools.permutations(range(3)))
+        for n in (1, 3, 5):
+            perms = permute_rows(n, 0, exhaustive=True)
+            assert perms.shape == (math.factorial(n), n)
+            assert [tuple(p) for p in perms] == list(itertools.permutations(range(n)))
 
     def test_deterministic_for_fixed_seed(self):
         p1 = permute_rows(10, 50, seed=123)

@@ -230,7 +230,7 @@ class TestFRatio:
         dm = balanced_2x2(reps=3)
         x = rng.normal(size=(12, 64))
         dec_t = fit(x.astype(complex), dm)
-        dec_f = fit(transform_rows(x.astype(complex)).values, dm)
+        dec_f = fit(transform_rows(x.astype(complex)), dm)
         for term in ("a", "b", "a:b"):
             assert f_ratio(dec_f, term) == pytest.approx(
                 f_ratio(dec_t, term), rel=1e-9)
@@ -337,9 +337,9 @@ class TestPermutationTest:
         x = rng.normal(size=(8, 120))
         x[4:] += 0.6
         shifted = np.roll(x, 31, axis=1)
-        t1 = permutation_test(transform_rows(x.astype(complex)).values, dm,
+        t1 = permutation_test(transform_rows(x.astype(complex)), dm,
                               n_permutations=99, seed=2)
-        t2 = permutation_test(transform_rows(shifted.astype(complex)).values, dm,
+        t2 = permutation_test(transform_rows(shifted.astype(complex)), dm,
                               n_permutations=99, seed=2)
         for term in ("g",):
             assert t2.row(term).f == pytest.approx(t1.row(term).f, rel=1e-9)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fftasca.design import DesignSpec, DistinctRows, Factor, encode
-from fftasca.errors import DimensionMismatch, LengthMismatch, RankExceeded, UnknownTerm
+from fftasca.errors import DimensionMismatch, RankExceeded, UnknownTerm
 from fftasca.glm import fit
 from fftasca.linalg import ssq
 from fftasca.sca import (
@@ -16,7 +16,7 @@ from fftasca.sca import (
     real_scores,
     sca_fit,
 )
-from fftasca.spectral import SpectrumMatrix, inverse_rows, transform_rows
+from fftasca.spectral import dft_inverse, inverse_rows, transform_rows
 from sca_oracle import full_effect_to_time, full_sca_fit
 
 
@@ -155,8 +155,8 @@ class TestLoadingsToTime:
         xa[:2, 0] = 4.0
         xa[2:, 0] = -4.0
         model = sca_fit(xa, np.zeros_like(xa), 1)
-        view = loadings_to_time(model, m)
-        col = view.loadings_time[:, 0]
+        view = loadings_to_time(model)
+        col = view.values[:, 0]
         assert np.max(np.abs(col - col[0])) < 1e-12
         assert view.imag_residue < 1e-12
 
@@ -165,10 +165,10 @@ class TestLoadingsToTime:
         g = gaussian_profile(m, 190, 6.0)  # asymmetric placement
         rows = np.array([0.5, 0.5, -0.5, -0.5])
         x_time = np.outer(rows, g)
-        xa = transform_rows(x_time.astype(complex)).values
+        xa = transform_rows(x_time.astype(complex))
         model = sca_fit(xa, np.zeros_like(xa), 1)
-        view = loadings_to_time(model, m)
-        got = view.loadings_time[:, 0]
+        view = loadings_to_time(model)
+        got = view.values[:, 0]
         want = g / np.linalg.norm(g)
         got = got / np.linalg.norm(got)
         if got[np.argmax(np.abs(got))] < 0:
@@ -177,45 +177,51 @@ class TestLoadingsToTime:
 
     def test_real_synthetic_has_tiny_imaginary_residue(self):
         x, dm, _ = two_level_dataset(noise=0.01, seed=12)
-        dec = fit(transform_rows(x.astype(complex)).values, dm)
+        dec = fit(transform_rows(x.astype(complex)), dm)
         model = sca_fit(dec.effect("g"), dec.residuals, 1)
-        view = loadings_to_time(model, x.shape[1])
-        assert view.imag_residue < 1e-8 * np.max(np.abs(view.loadings_time))
-
-    def test_length_mismatch(self):
-        rng = np.random.default_rng(13)
-        xa = rank_k_complex(rng, 4, 16, 1)
-        model = sca_fit(xa, np.zeros_like(xa), 1)
-        with pytest.raises(LengthMismatch):
-            loadings_to_time(model, 17)
+        view = loadings_to_time(model)
+        assert view.imag_residue < 1e-8 * np.max(np.abs(view.values))
 
     def test_variance_bridge(self):
         x, dm, _ = two_level_dataset(noise=0.02, seed=14)
         m = x.shape[1]
-        dec = fit(transform_rows(x.astype(complex)).values, dm)
+        dec = fit(transform_rows(x.astype(complex)), dm)
         model = sca_fit(dec.effect("g"), dec.residuals, 1)
-        view = loadings_to_time(model, m)
+        view = loadings_to_time(model)
         freq_ssq = float(np.sum(np.abs(model.loadings[:, 0]) ** 2))
-        time_ssq = float(np.sum(view.loadings_time[:, 0] ** 2))
+        time_ssq = float(np.sum(view.values[:, 0] ** 2))
         assert freq_ssq == pytest.approx(m * time_ssq, rel=1e-9)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 600), n_components=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_batched_inverse_equals_per_column_inverse(self, m, n_components, seed):
+        assume(n_components <= m)
+        rng = np.random.default_rng(seed)
+        effect = rng.normal(size=(5, m)) + 1j * rng.normal(size=(5, m))
+        model = sca_fit(effect, np.zeros_like(effect), n_components)
+        view = loadings_to_time(model)
+        for r in range(n_components):
+            assert np.array_equal(view.values[:, r],
+                                  dft_inverse(np.conj(model.loadings[:, r])).real)
 
 
 class TestEffectToTime:
     def test_two_level_noiseless_ground_truth(self):
         x, dm, eff = two_level_dataset(noise=0.0, seed=15)
-        dec = fit(transform_rows(x.astype(complex)).values, dm)
+        dec = fit(transform_rows(x.astype(complex)), dm)
         view = effect_to_time(dec, "g")
-        low = view.effect_time[:4].mean(axis=0)
-        high = view.effect_time[4:].mean(axis=0)
+        low = view.values[:4].mean(axis=0)
+        high = view.values[4:].mean(axis=0)
         assert np.max(np.abs((high - low) - eff)) < 1e-8 * max(np.max(eff), 1.0)
 
     def test_null_effect_gives_flat_zero(self):
         m = 64
         x = np.tile(gaussian_profile(m, 20, 4.0), (6, 1))
         dm = encode(DesignSpec(factors=(Factor.from_labels("g", [0, 0, 0, 1, 1, 1]),)))
-        dec = fit(transform_rows(x.astype(complex)).values, dm)
+        dec = fit(transform_rows(x.astype(complex)), dm)
         view = effect_to_time(dec, "g")
-        assert np.max(np.abs(view.effect_time)) < 1e-10
+        assert np.max(np.abs(view.values)) < 1e-10
 
     def test_jittered_peaks_stay_finite_and_real(self):
         rng = np.random.default_rng(16)
@@ -226,21 +232,21 @@ class TestEffectToTime:
             amp = 5.0 + (0.8 if i >= 4 else 0.0)
             x[i] = amp * gaussian_profile(m, center, 4.0) + 0.01 * rng.normal(size=m)
         dm = encode(DesignSpec(factors=(Factor.from_labels("g", [0] * 4 + [1] * 4),)))
-        dec = fit(transform_rows(x.astype(complex)).values, dm)
+        dec = fit(transform_rows(x.astype(complex)), dm)
         view = effect_to_time(dec, "g")
-        assert np.all(np.isfinite(view.effect_time))
-        assert view.imag_residue < 1e-8 * np.max(np.abs(view.effect_time))
+        assert np.all(np.isfinite(view.values))
+        assert view.imag_residue < 1e-8 * np.max(np.abs(view.values))
 
     def test_include_mean_restores_intensity_scale(self):
         x, dm, _ = two_level_dataset(noise=0.0, seed=17)
-        dec = fit(transform_rows(x.astype(complex)).values, dm)
+        dec = fit(transform_rows(x.astype(complex)), dm)
         view = effect_to_time(dec, "g", include_mean=True)
-        recon_mean = view.effect_time.mean(axis=0)
+        recon_mean = view.values.mean(axis=0)
         assert np.max(np.abs(recon_mean - x.mean(axis=0))) < 1e-8
 
     def test_unknown_term(self):
         x, dm, _ = two_level_dataset(seed=18)
-        dec = fit(transform_rows(x.astype(complex)).values, dm)
+        dec = fit(transform_rows(x.astype(complex)), dm)
         with pytest.raises(UnknownTerm):
             effect_to_time(dec, "nope")
 
@@ -256,7 +262,7 @@ class TestRealScores:
 
     def test_frequency_model_imag_small_relative_to_scores(self):
         x, dm, _ = two_level_dataset(noise=0.02, seed=20)
-        dec = fit(transform_rows(x.astype(complex)).values, dm)
+        dec = fit(transform_rows(x.astype(complex)), dm)
         model = sca_fit(dec.effect("g"), dec.residuals, 1)
         scores = real_scores(model)
         imag = np.max(np.abs(model.projected_scores.imag))
@@ -271,10 +277,10 @@ class TestFullPipelineIdentity:
         b = Factor.from_labels("b", [0, 0, 0, 1, 1, 1] * 2)
         dm = encode(DesignSpec(factors=(a, b), interactions=((0, 1),)))
         spec = transform_rows(x.astype(complex))
-        dec = fit(spec.values, dm)
+        dec = fit(spec, dm)
         total = np.ones((12, 1)) @ dec.grand_mean_row \
             + sum(dec.effects.values()) + dec.residuals
-        back = inverse_rows(SpectrumMatrix(values=total, source_length=128))
+        back = inverse_rows(total)
         assert np.max(np.abs(back.real - x)) < 1e-8
         assert np.max(np.abs(back.imag)) < 1e-8
 
@@ -339,7 +345,7 @@ class TestLevelSpace:
 
             view = effect_to_time(decomp, term, include_mean=include_mean)
             want, residue = full_effect_to_time(decomp, term, include_mean)
-            assert np.array_equal(view.effect_time, want)
+            assert np.array_equal(view.values, want)
             assert view.imag_residue == residue
 
             cap = dm.dof[term]
@@ -378,7 +384,7 @@ class TestLevelSpace:
 
     def test_scores_repeat_within_a_level(self):
         x, dm, _ = two_level_dataset(noise=0.05, seed=22)
-        dec = fit(transform_rows(x.astype(complex)).values, dm)
+        dec = fit(transform_rows(x.astype(complex)), dm)
         model = sca_fit(dec.effect("g"), dec.residuals, 1, rows=dec.distinct_rows("g"))
         assert np.all(model.scores[:4] == model.scores[0])
         assert np.all(model.scores[4:] == model.scores[4])
