@@ -331,6 +331,8 @@ def _cmd_simulate(args):
         seed=args.seed,
     )
     config.validate()
+    trials = jitter_experiment(config, levels, args.trials,
+                               n_permutations=args.permutations, seed=args.seed)
     if args.dataset_out:
         data = generate(config)
         dataio.write_chromatograms(f"{args.dataset_out}_chromatograms.csv",
@@ -340,9 +342,6 @@ def _cmd_simulate(args):
             fh.write("sample,group\n")
             for sid, lab in zip(data.sample_ids, factor.labels):
                 fh.write(f"{sid},{factor.level_names[lab]}\n")
-
-    trials = jitter_experiment(config, levels, args.trials,
-                               n_permutations=args.permutations, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     dataio.write_jitter_table(os.path.join(args.out_dir, "jitter_z.csv"), trials)
 

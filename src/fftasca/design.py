@@ -344,21 +344,22 @@ def _pcg64_seeds(seed, start, stop):
 
 def _draw_stream(n, count, seed):
     """``Generator(PCG64(SeedSequence(seed, spawn_key=(i,)))).permutation(n)``
-    for every ``i < count``, drawn by one reused generator.
+    for every ``i < count``, drawn by one reused generator and yielded in
+    chunks of at most ``_SEED_CHUNK`` rows.
 
     PCG64 seeds itself from the words ``(s_hi, s_lo, i_hi, i_lo)`` by
     ``srandom``: ``inc = 2 * (i_hi:i_lo) + 1`` and two LCG steps from 0
     with ``s_hi:s_lo`` added between them.  Setting that state, and
     shuffling a row that holds ``range(n)``, draws the permutation of a
-    freshly seeded generator.  Seeds are made a chunk of rows at a time to
-    bound their memory.
+    freshly seeded generator.
     """
+    if not 0 <= count <= MAX_PERMUTATIONS:
+        raise ConfigInvalid(f"permutation count must lie in [0, {MAX_PERMUTATIONS}], got {count}")
     gen = np.random.Generator(np.random.PCG64())
     bit_generator = gen.bit_generator
-    out = np.tile(np.arange(n, dtype=np.intp), (count, 1))
     for start in range(0, count, _SEED_CHUNK):
-        rows = out[start:start + _SEED_CHUNK]
-        seeds = _pcg64_seeds(seed, start, start + rows.shape[0]).tolist()
+        rows = np.tile(np.arange(n, dtype=np.intp), (min(_SEED_CHUNK, count - start), 1))
+        seeds = _pcg64_seeds(int(seed), start, start + rows.shape[0]).tolist()
         for row, (s_hi, s_lo, i_hi, i_lo) in zip(rows, seeds):
             inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
             state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
@@ -366,38 +367,49 @@ def _draw_stream(n, count, seed):
                                    "state": {"state": state, "inc": inc},
                                    "has_uint32": 0, "uinteger": 0}
             gen.shuffle(row)
-    return out
+        yield rows
 
 
-@functools.lru_cache(maxsize=1)
-def _cached_stream(n, count, seed):
-    perms = _draw_stream(n, count, seed)
-    perms.flags.writeable = False
-    return perms
+def _test_permutations(n, count, seed):
+    """The permutations that a test of ``count`` permutations of
+    ``range(n)`` scores, in chunks of at most ``_SEED_CHUNK`` rows: every
+    non-identity permutation once, in ``itertools.permutations`` order,
+    when ``count`` covers all ``n! - 1``; else :func:`_draw_stream`'s.
+    """
+    if math.factorial(n) - 1 <= count:
+        entries = itertools.chain.from_iterable(
+            itertools.islice(itertools.permutations(range(n)), 1, None))
+        while (chunk := np.fromiter(itertools.islice(entries, _SEED_CHUNK * n), np.intp)).size:
+            yield chunk.reshape(-1, n)
+    else:
+        yield from _draw_stream(n, count, seed)
 
 
 def permute_rows(n, count, seed=0, exhaustive=False):
-    """Permutations of ``range(n)`` as a read-only (count, n) integer array.
+    """Permutations of ``range(n)`` as a (count, n) integer array.
 
     With ``exhaustive=True`` all ``n!`` permutations are returned exactly
-    once (``count`` and ``seed`` are ignored).  Otherwise ``count``
-    uniformly random permutations are drawn: permutation ``i`` is that of
+    once, in ``itertools.permutations`` order (``count`` and ``seed`` are
+    ignored).  Otherwise ``count`` uniformly random permutations are
+    drawn: permutation ``i`` is that of
     ``Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))``, so it depends
     only on ``(seed, i)`` and any element of the stream can be regenerated
     without the preceding ones.  ``count`` must lie in
-    ``[0, MAX_PERMUTATIONS]``.  The last stream drawn is kept and returned
-    again for the same ``(n, count, seed)``, so the two tests of a drift
-    trial, or a test and its ``--trim`` refit, draw it once.
+    ``[0, MAX_PERMUTATIONS]``.  The array is allocated once and filled a
+    chunk at a time, so an oversized request fails at that allocation.
     """
     if n < 1:
         raise DimensionMismatch("need at least one row to permute")
     if exhaustive:
-        # filled in place: no list of n! tuples, and an oversized request
-        # fails at the one allocation
-        perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
-                            np.intp, count=n * math.factorial(n)).reshape(-1, n)
-        perms.flags.writeable = False
-        return perms
-    if not 0 <= count <= MAX_PERMUTATIONS:
+        count = math.factorial(n)
+        chunks = itertools.chain([np.arange(n)[None]], _test_permutations(n, count - 1, seed))
+    elif 0 <= count <= MAX_PERMUTATIONS:
+        chunks = _draw_stream(n, count, seed)
+    else:
         raise ConfigInvalid(f"permutation count must lie in [0, {MAX_PERMUTATIONS}], got {count}")
-    return _cached_stream(int(n), int(count), int(seed))
+    out = np.empty((count, n), dtype=np.intp)
+    start = 0
+    for chunk in chunks:
+        out[start:start + len(chunk)] = chunk
+        start += len(chunk)
+    return out

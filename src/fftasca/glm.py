@@ -44,14 +44,13 @@ the sample-kernel path.
 """
 
 import csv
-import math
 import warnings
 from dataclasses import dataclass, field
 from io import StringIO
 
 import numpy as np
 
-from .design import MEAN_TERM, DistinctRows, permute_rows
+from .design import MEAN_TERM, DistinctRows, _test_permutations
 from .errors import (
     DimensionMismatch,
     EmptyCellWarning,
@@ -330,11 +329,6 @@ def _total_ssq(x):
     return float(np.einsum("ij,ij->", x, x.conj()).real)
 
 
-def _count_at_or_above(f_perm, f_nominal):
-    tie = F_TIE_REL * np.maximum(np.abs(f_perm), abs(f_nominal))
-    return int(np.count_nonzero(f_perm - f_nominal >= -tie))
-
-
 def _hat_matrices(dmatrix, tested):
     """Stacked N x N ``H = A^T A`` of every tested term, ``A = D_t
     pinv(D)_t``, then of the fitted part, ``A = D pinv(D)``."""
@@ -509,30 +503,23 @@ def _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask):
     if not np.isfinite(100.0 * nominal).all():
         raise NonFiniteResult("the sums of squares overflow the floating-point range")
 
-    exhaustive = math.factorial(n) - 1 <= n_permutations
-    if exhaustive:
-        perms = permute_rows(n, 0, exhaustive=True)
-        identity = np.arange(n)
-        perms = perms[~np.all(perms == identity, axis=1)]
-    else:
-        perms = permute_rows(n, n_permutations, seed=seed)
-    n_eff = perms.shape[0]
-
-    if mask is None:
-        f_perm, resid, total = _kernel_f_ratios(x, dmatrix, tested, perms)
-    else:
-        f_perm, resid, total = _cell_kernel_f_ratios(x, mask, dmatrix, tested, perms, grand)
     f_nom = np.array([f_nominal[t] for t in tested])
-    near = _needs_refit(f_perm, resid, total, f_nom, tested_dof, nu2)
-    for i in np.flatnonzero(near):
-        p = perms[i]
-        xp = x[p] if mask is None else _impute(x[p], mask[p], dmatrix.cell_rows, grand)
-        f_perm[i] = refit_f(xp)
-
-    p_values = {}
-    for j, t in enumerate(tested):
-        count = _count_at_or_above(f_perm[:, j], f_nominal[t])
-        p_values[t] = (count + 1) / (n_eff + 1)
+    counts = np.zeros(len(tested), dtype=np.int64)
+    n_eff = 0
+    for perms in _test_permutations(n, n_permutations, seed):
+        if mask is None:
+            f_perm, resid, total = _kernel_f_ratios(x, dmatrix, tested, perms)
+        else:
+            f_perm, resid, total = _cell_kernel_f_ratios(x, mask, dmatrix, tested, perms, grand)
+        near = _needs_refit(f_perm, resid, total, f_nom, tested_dof, nu2)
+        for i in np.flatnonzero(near):
+            p = perms[i]
+            xp = x[p] if mask is None else _impute(x[p], mask[p], dmatrix.cell_rows, grand)
+            f_perm[i] = refit_f(xp)
+        tie = F_TIE_REL * np.maximum(np.abs(f_perm), np.abs(f_nom))
+        counts += np.count_nonzero(f_perm - f_nom >= -tie, axis=0)
+        n_eff += perms.shape[0]
+    p_values = {t: (int(c) + 1) / (n_eff + 1) for t, c in zip(tested, counts)}
 
     rows = [AnovaRow("Mean", mean0, 100.0 * mean0 / total0, 1, mean0)]
     for t in all_terms:

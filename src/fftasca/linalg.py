@@ -26,8 +26,8 @@ __all__ = [
     "mean_center_columns",
 ]
 
-# Relative singular-value cutoff used when no tolerance is given: values
-# below 1e-12 * max(rows, cols) * s_max are treated as exact zeros.
+# Relative singular-value cutoff: values at or below
+# 1e-12 * max(rows, cols) * s_max are treated as exact zeros.
 DEFAULT_RANK_TOL_SCALE = 1e-12
 
 
@@ -106,37 +106,36 @@ def svd(x):
     return SvdResult(u=u, s=s, v=vh.conj().T)
 
 
-def numerical_rank(x, tol=None):
-    """Rank of ``x`` with singular values <= tol * s_max counted as zero."""
+def numerical_rank(x):
+    """Rank of ``x`` with singular values at or below
+    ``1e-12 * max(rows, cols) * s_max`` counted as zero."""
     x = as_complex_matrix(x)
-    return rank_from_singular_values(svd(x).s, x.shape, tol)
+    return rank_from_singular_values(svd(x).s, x.shape)
 
 
-def rank_from_singular_values(s, shape, tol=None):
+def rank_from_singular_values(s, shape):
     """:func:`numerical_rank` of a matrix of ``shape`` whose descending
     singular values ``s`` are already known."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    if tol is None:
-        tol = DEFAULT_RANK_TOL_SCALE * max(shape)
+    tol = DEFAULT_RANK_TOL_SCALE * max(shape)
     return int(np.count_nonzero(s > tol * s[0]))
 
 
-def pinv(x, tol=None):
+def pinv(x):
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values at or below ``tol * s_max`` are treated as zero.  The
-    default tolerance is ``1e-12 * max(rows, cols)``.
+    Singular values at or below ``1e-12 * max(rows, cols) * s_max`` are
+    treated as zero.
     """
     x = as_complex_matrix(x)
-    return pinv_from_svd(svd(x), x.shape, tol)
+    return pinv_from_svd(svd(x), x.shape)
 
 
-def pinv_from_svd(res, shape, tol=None):
+def pinv_from_svd(res, shape):
     """:func:`pinv` of a matrix of ``shape`` whose SVD ``res`` is already
     known."""
-    if tol is None:
-        tol = DEFAULT_RANK_TOL_SCALE * max(shape)
+    tol = DEFAULT_RANK_TOL_SCALE * max(shape)
     if res.s.size == 0 or res.s[0] == 0.0:
         return np.zeros((shape[1], shape[0]), dtype=np.complex128)
     keep = res.s > tol * res.s[0]

@@ -164,13 +164,13 @@ def sca_fit(effect, residuals, n_components=None, term="", cap=None, rows=None):
     )
 
 
-def default_components(effect, cap, threshold=0.95, rows=None):
-    """Smallest component count explaining ``threshold`` of the effect ssq,
-    capped at ``cap`` and at the matrix rank.  ``rows`` is as for
+def default_components(effect, cap, rows=None):
+    """Smallest component count explaining 95 % of the effect ssq, capped
+    at ``cap`` and at the matrix rank.  ``rows`` is as for
     :func:`sca_fit`."""
     effect = as_complex_matrix(effect, "effect")
     s = _level_svd(effect, _rows_of(effect, rows))[0].s
-    return _component_count(s, rank_from_singular_values(s, effect.shape), cap, threshold)
+    return _component_count(s, rank_from_singular_values(s, effect.shape), cap)
 
 
 def _rows_of(effect, rows):
@@ -186,11 +186,11 @@ def _rows_of(effect, rows):
     return rows
 
 
-def _component_count(s, rank, cap, threshold=0.95):
+def _component_count(s, rank, cap):
     if rank == 0:
         raise RankExceeded("effect matrix is zero; nothing to decompose")
     energy = np.cumsum(s[:rank] ** 2) / np.sum(s[:rank] ** 2)
-    wanted = int(np.searchsorted(energy, threshold) + 1)
+    wanted = int(np.searchsorted(energy, 0.95) + 1)
     return max(1, min(wanted, cap, rank))
 
 

@@ -299,10 +299,10 @@ def jitter_experiment(config, jitter_levels, trials, n_permutations=200, seed=0)
     and once on the bin-magnitude matrix of the row spectra.  Magnitudes
     are what make the frequency representation insensitive to band drift;
     the full complex spectrum carries the drift in its phases and would
-    reproduce the time-domain statistic exactly.  Both tests share one
-    permutation stream per trial, and each trial's generator seed derives
-    only from (seed, jitter, trial), so layouts are reproducible and
-    trials are independent.
+    reproduce the time-domain statistic exactly.  Both tests of a trial
+    draw the same permutation stream, and each trial's generator and
+    permutation seeds derive only from (seed, jitter, trial), so layouts
+    are reproducible and trials are independent.
 
     Returns a list of JitterTrial rows in (jitter, trial) order.
     """

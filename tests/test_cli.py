@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fftasca
-from fftasca import design, errors
+from fftasca import errors, glm
 from fftasca import io as dataio
 from fftasca.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, run_pipeline
 from fftasca.design import MAX_PERMUTATIONS, DesignSpec, encode
@@ -180,7 +180,7 @@ class TestAnalyze:
                    "--permutations", "99", "--seed", "3",
                    "--out-dir", out, "--no-timestamp") == EXIT_OK
         assert (out / "anova_trimmed.csv").exists()
-        assert stream_draws == [(24, 99, 3)]
+        assert stream_draws == [(24, 99, 3)] * 2
 
     def test_trim_drops_an_interaction_without_both_parents(self, tmp_path):
         # a and a:b planted, b null: the refit keeps a alone
@@ -587,6 +587,10 @@ EXIT_TABLE = [
         "simulate", "--trials", "1", "--jitter-grid", "0:10:0", "--permutations", "5",
         "--replicates", "1", "--out-dir", t / "s"),
      EXIT_NUMERIC, "saturated"),
+    ("saturated model with a dataset out", lambda c, m, t: (
+        "simulate", "--trials", "1", "--jitter-grid", "0:10:0", "--permutations", "5",
+        "--replicates", "1", "--dataset-out", t / "d", "--out-dir", t / "s"),
+     EXIT_NUMERIC, "saturated"),
     ("rank exceeded", lambda c, m, t: (
         "analyze", c, m, "--domain", "time", "--permutations", "99", "--components", "3",
         "--out-dir", t / "o"),
@@ -636,9 +640,8 @@ def test_exit_code_table(fixture_files, tmp_path, capsys, monkeypatch, argv, cod
     assert sorted(tmp_path.rglob("*")) == inputs  # a failed command writes nothing
 
 
-@pytest.mark.parametrize("permutations, owner, allocator", [
-    ("22", design, "_draw_stream"), ("23", np, "fromiter")], ids=["random stream", "enumeration"])
-def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch, permutations, owner, allocator):
+@pytest.mark.parametrize("permutations", ["22", "23"], ids=["random stream", "enumeration"])
+def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch, permutations):
     # four samples: 22 permutations are drawn, 23 enumerate the 4! - 1 others
     chrom = _raw(tmp_path, "c.csv", b"sample,t0,t1\ns0,1,2\ns1,2,3\ns2,5,1\ns3,7,2\n")
     meta = _raw(tmp_path, "m.csv", b"sample,g\ns0,a\ns1,a\ns2,b\ns3,b\n")
@@ -646,8 +649,7 @@ def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch, permutations, owne
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 46.0 GiB")
 
-    monkeypatch.setattr(owner, allocator, exhausted)
-    design._cached_stream.cache_clear()
+    monkeypatch.setattr(glm, "_test_permutations", exhausted)
     inputs = sorted(tmp_path.rglob("*"))
     got = run("analyze", chrom, meta, "--domain", "time", "--permutations", permutations,
               "--out-dir", tmp_path / "o")

@@ -276,16 +276,20 @@ class TestPermutationStream:
             ss = np.random.SeedSequence(seed, spawn_key=(index,))
             assert np.array_equal(row, ss.generate_state(4, np.uint64))
 
-    def test_returned_arrays_are_read_only(self):
-        for perms in (permute_rows(6, 10, seed=2), permute_rows(4, 0, exhaustive=True)):
-            with pytest.raises(ValueError):
-                perms[0, 0] = 1
-
-    def test_repeated_request_draws_once(self, stream_draws):
-        first = permute_rows(9, 40, seed=5)
-        assert permute_rows(9, 40, seed=5) is first
-        permute_rows(9, 40, seed=6)
-        assert stream_draws == [(9, 40, 5), (9, 40, 6)]
+    @pytest.mark.parametrize("chunk", [7, 4096])
+    def test_scored_permutations_come_in_bounded_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(design, "_SEED_CHUNK", chunk)
+        for n in (1, 2, 3, 5, 6):
+            others = math.factorial(n) - 1
+            for count in (others, others + 1, 10**13):
+                chunks = list(design._test_permutations(n, count, 4))
+                assert all(c.shape[0] <= chunk for c in chunks)
+                rows = [tuple(p) for c in chunks for p in c]
+                assert rows == list(itertools.permutations(range(n)))[1:]
+            if others > 1:  # too few to enumerate: the stream
+                chunks = list(design._test_permutations(n, others - 1, 4))
+                assert all(c.shape[0] <= chunk for c in chunks)
+                assert np.array_equal(np.concatenate(chunks), permutation_stream(n, others - 1, 4))
 
     @pytest.mark.parametrize("count", [-1, MAX_PERMUTATIONS + 1, 10**13])
     def test_count_outside_the_index_range_is_rejected(self, count):

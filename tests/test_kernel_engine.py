@@ -9,6 +9,7 @@ same p-values, same permutation count.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fftasca import synth
+from fftasca import design, synth
 from fftasca.design import DesignSpec, Factor, encode
 from fftasca.errors import EmptyCellWarning, ZeroResidual
 from fftasca.glm import pcmr_permutation_test, permutation_test
@@ -101,15 +102,20 @@ def test_kernel_engine_equals_refit_oracle(kind, data):
         assert got.n_permutations == math.factorial(dm.n_samples) - 1
 
 
+def _random_mask(data, x):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(size=x.shape) < data.draw(st.floats(0.05, 0.6))
+    mask.flat[data.draw(st.integers(0, mask.size - 1))] = True
+    return mask
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(data=st.data())
 def test_masked_scorer_equals_refit_oracle(kind, data):
     spec, x, n_perm, seed = data.draw(cases(kind))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    mask = rng.random(size=x.shape) < data.draw(st.floats(0.05, 0.6))
-    mask.flat[data.draw(st.integers(0, mask.size - 1))] = True
+    mask = _random_mask(data, x)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         dm = encode(spec)
@@ -153,3 +159,57 @@ def test_drift_near_ties_decided_like_the_refit(seed, monkeypatch):
     expected = jitter_experiment(SynthConfig(), [0], 1, n_permutations=200, seed=seed)
     assert got[0].z_freq == expected[0].z_freq
     assert got[0].z_time == expected[0].z_time
+
+
+@pytest.mark.parametrize("kind", ("one_way", "interaction", "exhaustive"))
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(data=st.data())
+def test_chunk_boundaries_leave_the_tables_unchanged(kind, data):
+    # chunks of 7 rows split sampled streams and enumerations mid-way
+    spec, x, n_perm, seed = data.draw(cases(kind))
+    mask = _random_mask(data, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dm = encode(spec)
+        if numerical_rank(dm.matrix) >= dm.n_samples:
+            return  # saturated: no residual to test against
+
+        def tables():
+            return [permutation_test(x, dm, n_permutations=n_perm, seed=seed),
+                    pcmr_permutation_test(x, mask, dm, n_permutations=n_perm, seed=seed),
+                    loop_permutation_test(x, dm, n_permutations=n_perm, seed=seed),
+                    loop_permutation_test(x, dm, n_permutations=n_perm, seed=seed, mask=mask)]
+
+        try:
+            default = tables()
+        except ZeroResidual:
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(design, "_SEED_CHUNK", 7)
+            small = tables()
+    assert small == default
+    assert default[0] == default[2] and default[1] == default[3]
+
+
+@pytest.mark.parametrize("masked, seed", [(False, 1), (True, 2)], ids=["dense", "masked"])
+def test_engine_memory_does_not_grow_with_the_permutation_count(masked, seed, monkeypatch):
+    # 20,000 permutations of 10 rows in chunks of 256: the engine's peak was
+    # 9.98 MiB (dense) and 2.79 MiB (masked) with the whole stream held,
+    # and is 0.41 MiB for both streamed
+    monkeypatch.setattr(design, "_SEED_CHUNK", 256)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(10, 50))
+    mask = rng.random(size=x.shape) < 0.2 if masked else None
+    dm = encode(DesignSpec(factors=(Factor.from_labels("g", [0] * 5 + [1] * 5),)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        if masked:
+            pcmr_permutation_test(x, mask, dm, n_permutations=20_000, seed=seed)
+        else:
+            permutation_test(x, dm, n_permutations=20_000, seed=seed)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -185,5 +185,6 @@ class TestJitterExperiment:
         # the time and the magnitude test of a trial share its stream
         cfg = small_config(n_acquisitions=900, effect_size=6.0)
         rows = jitter_experiment(cfg, [0, 30], trials=2, n_permutations=49, seed=11)
-        assert len(stream_draws) == len(rows) == 4
+        assert len(stream_draws) == 2 * len(rows) == 8
+        assert stream_draws[0::2] == stream_draws[1::2]
         assert len(set(stream_draws)) == 4
