@@ -42,7 +42,8 @@ class ZeroResidual(NumericError):
 
 
 class NonFiniteResult(NumericError, ValueError):
-    """A matrix, sum of squares, spectrum or imputed value is inf or nan.
+    """A matrix, sum of squares, spectrum or imputed value is inf or nan,
+    or a table's total sum of squares lies below the normal range.
 
     Input files hold finite values only, so inside the package a non-finite
     value is an overflow.  Also a ``ValueError``, which non-finite

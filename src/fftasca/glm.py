@@ -14,33 +14,32 @@ Ties within 1e-12 relative count toward the numerator.  When the requested
 permutation count covers all ``n! - 1`` non-identity permutations, the
 engine enumerates them exactly instead of sampling.
 
-Permuted F-ratios are not refitted one by one.  Every sum of squares is a
-quadratic form ``Re Tr(X^H H X)`` with a real symmetric N x N matrix ``H``
-(``A^T A`` with ``A = D_t pinv(D)_t`` for a term, the hat matrix for the
-fitted part), so under a row permutation ``P`` it equals
-``Tr(H P K P^T)`` with the kernel ``K = Re(X X^H)``, built once: the
-distance-matrix form of PERMANOVA (McArdle & Anderson 2001).  Each
-permutation then costs O(N^2) per term whatever the signal length.  The
-kernel and a refit agree to rounding, not bit for bit, so a permutation
-whose kernel F lies within rounding reach of the nominal F (or whose
-kernel residual is not clearly positive) is re-decided by a direct refit;
-the counts, and hence the p-values, are those of refitting every
-permutation.  The nominal row always comes from the direct fit.
+Permuted F-ratios are not refitted one by one.  The design's columns are
+constant within a design cell, so the fit sees the data only through the
+C x M cell means ``mu``, and a sum of squares is ``<Ind^T H Ind, Re(mu
+mu^H)>`` for the N x C cell indicator ``Ind`` and a real symmetric N x N
+``H`` (``A^T A`` with ``A = D_t pinv(D)_t`` for a term, the hat matrix for
+the fitted part).  One scorer, set up once per test, reads each
+permutation's sums of squares off its permuted cell means, whose sums and
+counts one matrix product gives for a chunk of permutations.  Dense data
+are first replaced by the real N x N factor ``L`` of the kernel
+``K = Re(X X^H) = L L^T``, which has the same permuted sums of squares
+(the distance-matrix form of PERMANOVA, McArdle & Anderson 2001), so a
+permutation costs O(C N^2) whatever the signal length.  The scorer and a
+refit agree to rounding, not bit for bit, so a permutation whose scored F
+lies within rounding reach of the nominal F (or whose scored residual is
+not clearly positive) is re-decided by a direct refit; the counts, and
+hence the p-values, are those of refitting every permutation.  The
+nominal row always comes from the direct fit.
 
 Missing values in peak tables are handled by permutational cell-mean
 replacement: every missing entry is imputed with the mean of the observed
 entries that currently share its design cell, and the imputation is redone
 inside every permutation iteration because the mask travels with the data
-rows while the design stays fixed.  Those permutations are not re-imputed
-and refitted either.  The design's columns are constant within a design
-cell, so the fit sees the imputed data only through its cell means, and
-imputation leaves every cell mean at the mean of the cell's observed
-entries (the grand mean where the cell observes nothing).  Each
-permutation's sums of squares are read off the cells x cells kernel of
-those means, from cell sums and counts that one matrix product gives for a
-whole chunk of permutations; the same near-tie guard sends doubtful
-permutations to a direct re-imputation and refit.  An all-false mask takes
-the sample-kernel path.
+rows while the design stays fixed.  Imputation leaves each cell mean at the
+mean of the cell's observed entries (the grand mean where the cell
+observes nothing), so the same scorer serves, and near-ties are
+re-imputed before their refit.  An all-false mask scores as dense data.
 """
 
 import csv
@@ -80,10 +79,7 @@ F_TIE_REL = 1e-12
 # F this close to the nominal F is re-decided by a direct refit
 KERNEL_TIE_REL = 1e-9
 
-# bytes of gathered kernel per chunk of permutations
-_KERNEL_CHUNK_BYTES = 4 << 20
-
-# bytes of per-chunk working set of the masked scorer; larger chunks raise
+# bytes of per-chunk working set of the scorer; larger chunks raise
 # peak memory and gain no speed
 _CELL_CHUNK_BYTES = 1 << 18
 
@@ -337,59 +333,23 @@ def _hat_matrices(dmatrix, tested):
     return np.stack([a.T @ a for a in blocks])
 
 
-def _f_ratios(ss, total, dmatrix, tested):
-    """F-ratios and residual sums of squares from the permuted sums of
-    squares of the tested terms and, in the last column, the fitted part."""
-    resid = total - ss[:, -1]
-    nu1 = np.array([dmatrix.dof[t] for t in tested], dtype=float)
-    nu2 = dmatrix.n_samples - dmatrix.rank
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = ss[:, :-1] / nu1 / (resid / nu2)[:, None]
-    return f, resid
+def _cell_scorer(x, mask, dmatrix, tested):
+    """Set up, once per test, the scorer of every tested term's F-ratio
+    under row permutations, read off the permuted cell means (see the
+    module docstring) with cell-mean replacement of the masked entries.
 
-
-def _kernel_f_ratios(x, dmatrix, tested, perms):
-    """F-ratio of every tested term under every permutation, read off the
-    N x N kernel ``K = Re(X X^H)`` instead of refitting.
-
-    A sum of squares is ``Tr(H K[p][:, p])`` under a row permutation ``p``,
-    with ``H`` from :func:`_hat_matrices`, so every permutation costs one
-    N x N gather and one product with the stacked ``H``, whatever the
-    signal length.  Permutations go through in chunks of bounded memory.
-    Returns the (n_perms, n_tested) F-ratios, the residual sums of squares
-    and the total sum of squares ``Tr(K)``.
+    The total is ``sum |observed|^2 + sum (n_c - K) |mu|^2`` for the
+    observed count ``K`` of each cell and variable.  With ``mask=None`` the
+    data are replaced by the kernel factor ``L`` and nothing is masked: for
+    the C x N cell-averaging matrix ``A_p`` of a permutation, the permuted
+    cell-mean Gram ``A_p K A_p^T`` is ``(A_p L)(A_p L)^T``, and the total
+    is ``Tr K = |L|^2``.  ``score(perms)`` returns the (b, n_tested)
+    F-ratios and the residual and total sums of squares of a (b, N) chunk.
     """
-    n = x.shape[0]
-    hats = _hat_matrices(dmatrix, tested).reshape(-1, n * n)
-    kernel = x.real @ x.real.T + x.imag @ x.imag.T
-    ss = np.empty((perms.shape[0], hats.shape[0]))
-    step = max(1, _KERNEL_CHUNK_BYTES // (kernel.itemsize * n * n))
-    for start in range(0, perms.shape[0], step):
-        p = perms[start:start + step]
-        gathered = kernel[p[:, :, None], p[:, None, :]].reshape(p.shape[0], n * n)
-        ss[start:start + step] = gathered @ hats.T
-    total = float(np.trace(kernel))
-    f, resid = _f_ratios(ss, total, dmatrix, tested)
-    return f, resid, total
-
-
-def _cell_kernel_f_ratios(x, mask, dmatrix, tested, perms, grand):
-    """F-ratio of every tested term under every permutation with cell-mean
-    replacement of the masked entries, without imputing or refitting.
-
-    The design's columns are constant within a design cell, so
-    ``pinv(D) Y = pinv(D) Ind mu`` for the N x C cell indicator ``Ind``
-    and the C x M cell means ``mu`` of ``Y``.  Imputation leaves each cell
-    mean at the mean of the cell's observed entries, or at the grand mean
-    where the cell observes nothing.  A sum of squares is therefore
-    ``<Ind^T H Ind, Re(mu mu^H)>`` with ``H`` from :func:`_hat_matrices`,
-    and the total is ``sum |observed|^2 + sum (n_c - K) |mu|^2`` for the
-    observed count ``K`` of each cell and variable.  One product of a
-    chunk's (b*C, N) row-to-cell assignment with the fixed observed data
-    and observed counts gives every permuted cell sum and count.
-    Returns the F-ratios, the residual and the total sums of squares, one
-    per permutation.
-    """
+    if mask is None:
+        w, v = np.linalg.eigh(x.real @ x.real.T + x.imag @ x.imag.T)
+        x = v * np.sqrt(np.maximum(w, 0.0))
+        mask = np.zeros(x.shape, dtype=bool)
     n, m = x.shape
     cells = dmatrix.cell_ids
     n_cells = len(dmatrix.cell_rows)
@@ -400,29 +360,38 @@ def _cell_kernel_f_ratios(x, mask, dmatrix, tested, perms, grand):
     parts = [observed.real, observed.imag] if observed.imag.any() else [observed.real]
     k = len(parts)
     fixed = np.hstack(parts + [(~mask).astype(float)])
+    grand = _grand_means(x, mask)
     grand_parts = np.stack([grand.real, grand.imag][:k])
     sizes = ind.sum(axis=0)[:, None]
     observed_ssq = _total_ssq(observed)
+    nu1 = np.array([dmatrix.dof[t] for t in tested], dtype=float)
+    nu2 = n - dmatrix.rank
     # per permutation: the assignment, cell sums and counts, means, and
     # the imputed counts and squared means that weight them
     step = max(1, _CELL_CHUNK_BYTES // (8 * n_cells * (n + (3 * k + 2) * m)))
-    ss = np.empty((perms.shape[0], hats.shape[0]))
-    total = np.empty(perms.shape[0])
-    for start in range(0, perms.shape[0], step):
-        p = perms[start:start + step]
-        b = p.shape[0]
-        assign = np.zeros((b, n_cells, n))
-        assign[np.arange(b)[:, None], cells, p] = 1.0
-        sums = (assign.reshape(b * n_cells, n) @ fixed).reshape(b, n_cells, k + 1, m)
-        counts = sums[:, :, k:]
-        mu = np.broadcast_to(grand_parts, (b, n_cells, k, m)).copy()
-        np.divide(sums[:, :, :k], counts, out=mu, where=counts > 0)
-        total[start:start + b] = observed_ssq + np.einsum(
-            "bcm,bckm->b", sizes - counts[:, :, 0], mu * mu)
-        mu = mu.reshape(b, n_cells, k * m)
-        ss[start:start + b] = (mu @ mu.transpose(0, 2, 1)).reshape(b, -1) @ hats.T
-    f, resid = _f_ratios(ss, total, dmatrix, tested)
-    return f, resid, total
+
+    def score(perms):
+        ss = np.empty((perms.shape[0], hats.shape[0]))
+        total = np.empty(perms.shape[0])
+        for start in range(0, perms.shape[0], step):
+            p = perms[start:start + step]
+            b = p.shape[0]
+            assign = np.zeros((b, n_cells, n))
+            assign[np.arange(b)[:, None], cells, p] = 1.0
+            sums = (assign.reshape(b * n_cells, n) @ fixed).reshape(b, n_cells, k + 1, m)
+            counts = sums[:, :, k:]
+            mu = np.broadcast_to(grand_parts, (b, n_cells, k, m)).copy()
+            np.divide(sums[:, :, :k], counts, out=mu, where=counts > 0)
+            total[start:start + b] = observed_ssq + np.einsum(
+                "bcm,bckm->b", sizes - counts[:, :, 0], mu * mu)
+            mu = mu.reshape(b, n_cells, k * m)
+            ss[start:start + b] = (mu @ mu.transpose(0, 2, 1)).reshape(b, -1) @ hats.T
+        resid = total - ss[:, -1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = ss[:, :-1] / nu1 / (resid / nu2)[:, None]
+        return f, resid, total
+
+    return score
 
 
 def _needs_refit(f_kernel, resid, total, f_nominal, nu1, nu2):
@@ -502,15 +471,15 @@ def _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask):
     nominal = np.array([total0, mean0, resid0, *term_ssq0.values(), *f_nominal.values()])
     if not np.isfinite(100.0 * nominal).all():
         raise NonFiniteResult("the sums of squares overflow the floating-point range")
+    if total0 < np.finfo(float).tiny:
+        raise NonFiniteResult("the sums of squares underflow the floating-point range")
 
     f_nom = np.array([f_nominal[t] for t in tested])
+    score = _cell_scorer(x, mask, dmatrix, tested)
     counts = np.zeros(len(tested), dtype=np.int64)
     n_eff = 0
     for perms in _test_permutations(n, n_permutations, seed):
-        if mask is None:
-            f_perm, resid, total = _kernel_f_ratios(x, dmatrix, tested, perms)
-        else:
-            f_perm, resid, total = _cell_kernel_f_ratios(x, mask, dmatrix, tested, perms, grand)
+        f_perm, resid, total = score(perms)
         near = _needs_refit(f_perm, resid, total, f_nom, tested_dof, nu2)
         for i in np.flatnonzero(near):
             p = perms[i]
@@ -536,9 +505,9 @@ def permutation_test(x, dmatrix, terms=None, n_permutations=1000, seed=0):
     """Row-permutation F-tests for every (or the given) model term.
 
     Each tested term's permuted F is compared against its nominal value.
-    The permuted F-ratios are read off the row kernel ``Re(X X^H)`` (see
-    the module docstring) and give the counts of a full refit under every
-    permutation.  Enumeration replaces sampling whenever
+    The permuted F-ratios are read off the permuted cell means of a factor
+    of the row kernel ``Re(X X^H)`` (see the module docstring) and give
+    the counts of a full refit under every permutation.  Enumeration replaces sampling whenever
     ``n_permutations`` covers all non-identity permutations of the rows.
     """
     return _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask=None)
@@ -550,8 +519,8 @@ def pcmr_permutation_test(x, mask, dmatrix, terms=None, n_permutations=1000, see
     The mask travels with the permuted rows while the design stays fixed,
     so every iteration re-imputes each missing entry with the mean of the
     observed entries currently occupying its design cell.  The permuted
-    F-ratios are read off the kernel of the permuted cell means (see the
-    module docstring) and give the counts of re-imputing and refitting
+    F-ratios are read off the permuted cell means (see the module
+    docstring) and give the counts of re-imputing and refitting
     every permutation.  With an all-false mask the result is identical to
     :func:`permutation_test`.
     """

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .design import DesignSpec, Factor, encode
-from .errors import ConfigInvalid, DomainError
+from .errors import ConfigInvalid, DomainError, NonFiniteResult
 from .glm import permutation_test
 from .spectral import transform_rows
 
@@ -70,8 +70,10 @@ class SynthConfig:
             raise ConfigInvalid("replicates_per_level must be positive")
         if self.peak_sigma <= 0:
             raise ConfigInvalid("peak_sigma must be positive")
-        if self.noise_sd is not None and self.noise_sd < 0:
-            raise ConfigInvalid("noise_sd cannot be negative")
+        if not math.isfinite(self.effect_size):
+            raise ConfigInvalid("effect_size must be finite")
+        if self.noise_sd is not None and not 0 <= self.noise_sd < math.inf:
+            raise ConfigInvalid("noise_sd must be finite and not negative")
         spacing = self.n_acquisitions / (self.n_peaks + 1)
         if spacing <= 2 * (4 * self.peak_sigma + self.jitter_max):
             raise ConfigInvalid(
@@ -111,25 +113,34 @@ def _level_shift(config, noise_sd):
 
     Identifies effect_size**2 with the F-test noncentrality
     ``SS_effect / (SS_residual / dof_residual)`` expected for this
-    configuration, then solves for the per-peak shift.
+    configuration, then solves for the per-peak shift.  A shift past the
+    floating-point range is ``inf``.
     """
     if config.n_significant == 0 or config.effect_size == 0 or noise_sd == 0:
         return 0.0
     n = 2 * config.replicates_per_level
     gauss_ssq = config.peak_sigma * math.sqrt(math.pi)  # ssq of a unit band
     amp_sd = AMP_SD_RATIO * noise_sd
-    resid_msq = (
-        n * config.n_acquisitions * noise_sd**2
-        + n * config.n_peaks * amp_sd**2 * gauss_ssq
-    ) / max(n - 2, 1)
-    shift_sq = 4.0 * config.effect_size**2 * resid_msq / (
-        n * gauss_ssq * config.n_significant
-    )
+    try:
+        resid_msq = (
+            n * config.n_acquisitions * noise_sd**2
+            + n * config.n_peaks * amp_sd**2 * gauss_ssq
+        ) / max(n - 2, 1)
+        shift_sq = 4.0 * config.effect_size**2 * resid_msq / (
+            n * gauss_ssq * config.n_significant
+        )
+    except OverflowError:
+        return math.inf
     return math.sqrt(shift_sq)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generate(config):
-    """Generate one dataset; identical config and seed give identical bits."""
+    """Generate one dataset; identical config and seed give identical bits.
+
+    Raises NonFiniteResult when ``effect_size`` or ``noise_sd`` puts the
+    chromatograms past the floating-point range.
+    """
     config.validate()
     rng = np.random.default_rng(np.random.SeedSequence(int(config.seed)))
     n = 2 * config.replicates_per_level
@@ -183,6 +194,9 @@ def generate(config):
         x += amplitudes[:, p, None] * np.exp(-(offsets**2) / denom)
     if noise_sd > 0:
         x += noise_sd * rng.normal(size=(n, m))
+    if not np.isfinite(x).all():
+        raise NonFiniteResult("effect_size or noise_sd puts the generated chromatograms "
+                              "past the floating-point range")
 
     truth = []
     for p in range(config.n_peaks):

@@ -591,6 +591,24 @@ EXIT_TABLE = [
         "simulate", "--trials", "1", "--jitter-grid", "0:10:0", "--permutations", "5",
         "--replicates", "1", "--dataset-out", t / "d", "--out-dir", t / "s"),
      EXIT_NUMERIC, "saturated"),
+    ("non-finite effect size", lambda c, m, t: (
+        "simulate", "--trials", "1", "--jitter-grid", "0:10:0", "--permutations", "5",
+        "--effect-size", "nan", "--out-dir", t / "s"),
+     EXIT_CONFIG, "effect_size must be finite"),
+    ("non-finite noise sd", lambda c, m, t: (
+        "simulate", "--trials", "1", "--jitter-grid", "0:10:0", "--permutations", "5",
+        "--noise-sd", "inf", "--out-dir", t / "s"),
+     EXIT_CONFIG, "noise_sd must be finite"),
+    ("overflowing effect size", lambda c, m, t: (
+        "simulate", "--trials", "1", "--jitter-grid", "0:10:0", "--permutations", "5",
+        "--acquisitions", "600", "--peaks", "4", "--significant", "2",
+        "--effect-size", "1e200", "--out-dir", t / "s"),
+     EXIT_NUMERIC, "past the floating-point range"),
+    ("overflowing noise sd", lambda c, m, t: (
+        "simulate", "--trials", "1", "--jitter-grid", "0:10:0", "--permutations", "5",
+        "--acquisitions", "600", "--peaks", "4", "--significant", "2",
+        "--noise-sd", "1e200", "--dataset-out", t / "d", "--out-dir", t / "s"),
+     EXIT_NUMERIC, "past the floating-point range"),
     ("rank exceeded", lambda c, m, t: (
         "analyze", c, m, "--domain", "time", "--permutations", "99", "--components", "3",
         "--out-dir", t / "o"),
@@ -602,6 +620,12 @@ EXIT_TABLE = [
         "analyze", _near_max(c, t), m, "--domain", "time", "--permutations", "19",
         "--out-dir", t / "o"),
      EXIT_NUMERIC, "sums of squares overflow"),
+    ("underflowing sums of squares", lambda c, m, t: (
+        "analyze", _raw(t, "tiny.csv", b"sample,t0,t1\ns0,1e-158,2e-158\ns1,3e-158,1e-158\n"
+                        b"s2,2e-158,2e-158\ns3,5e-158,4e-158\ns4,1e-158,3e-158\n"),
+        _raw(t, "g.csv", b"sample,g\ns0,a\ns1,a\ns2,b\ns3,b\ns4,b\n"),
+        "--domain", "time", "--permutations", "9", "--out-dir", t / "o"),
+     EXIT_NUMERIC, "sums of squares underflow"),
     ("overflowing magnitudes", lambda c, m, t: (
         "analyze", _raw(t, "mag.csv", b"sample,t0,t1,t2\ns0,0,0,1.7976931348623157e308\n"
                         b"s1,0,0,0\ns2,1,2,3\ns3,4,5,6\ns4,1,1,1\ns5,2,2,2\n"),

@@ -27,7 +27,7 @@ from fftasca.glm import (
     permutation_test,
     zeros_to_missing,
 )
-from fftasca.glm import _cell_kernel_f_ratios, _grand_means, _impute, _kernel_f_ratios
+from fftasca.glm import _cell_scorer, _grand_means, _impute
 from fftasca.linalg import ssq
 from fftasca.spectral import transform_rows
 
@@ -272,6 +272,17 @@ class TestPermutationTest:
             else:
                 permutation_test(x, one_factor(2), n_permutations=5)
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_underflowing_table_raises(self, masked):
+        # an 8 x 40 table at 1e-158: the total, about 7e-314, is subnormal
+        x = 1e-158 * np.random.default_rng(1).uniform(1.0, 2.0, size=(8, 40))
+        x[0, 0] = 0.0
+        with pytest.raises(NonFiniteResult, match="underflow"):
+            if masked:
+                pcmr_permutation_test(x, x == 0.0, one_factor(4), n_permutations=5)
+            else:
+                permutation_test(x, one_factor(4), n_permutations=5)
+
     def test_determinism(self):
         rng = np.random.default_rng(8)
         dm = one_factor(4)
@@ -348,21 +359,30 @@ class TestPermutationTest:
             assert t2.row(row_name).sum_sq == pytest.approx(
                 t1.row(row_name).sum_sq, rel=1e-9)
 
-    def test_kernel_f_matches_direct_refit_for_every_permutation(self):
-        rng = np.random.default_rng(22)
+    @pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
+    def test_scorer_f_matches_refit_for_every_permutation(self, masked):
+        rng = np.random.default_rng(23)
         a = Factor.from_labels("a", [0, 0, 0, 0, 1, 1, 1, 2, 2, 2])
         b = Factor.from_labels("b", [0, 1, 0, 1, 0, 1, 1, 0, 1, 1])
         with pytest.warns(UnbalancedDesignWarning):
             dm = encode(DesignSpec(factors=(a, b), interactions=((0, 1),)))
-        x = rng.normal(size=(10, 40)) + 1j * rng.normal(size=(10, 40))
-        x += 3.0  # a large mean makes the kernel's residual a difference
+        # a large mean makes the scored residual a difference
+        x = rng.normal(size=(10, 40)) + 1j * rng.normal(size=(10, 40)) + 3.0
+        mask = None
+        if masked:
+            mask = rng.random(size=x.shape) < 0.3
+            mask[:, 7] = True  # a variable observed nowhere
+            mask[dm.cell_rows[0], 5] = True  # a cell with nothing observed
         perms = permute_rows(10, 200, seed=6)
         terms = dm.terms
-        f_kernel, _, _ = _kernel_f_ratios(x, dm, terms, perms)
-        for p, row in zip(perms, f_kernel):
-            dec = fit(x[p], dm)
-            refit = [f_ratio(dec, t) for t in terms]
-            assert row == pytest.approx(refit, rel=1e-9)
+        f, resid, total = _cell_scorer(x, mask, dm, terms)(perms)
+        for p, row, r, tot in zip(perms, f, resid, total):
+            y = x[p] if mask is None else _impute(x[p], mask[p], dm.cell_rows,
+                                                   _grand_means(x, mask))
+            dec = fit(y, dm)
+            assert row == pytest.approx([f_ratio(dec, t) for t in terms], rel=1e-9)
+            assert r == pytest.approx(ssq(dec.residuals), rel=1e-9)
+            assert tot == pytest.approx(ssq(y), rel=1e-12)
 
     def test_table_schema_and_percentages(self):
         rng = np.random.default_rng(15)
@@ -478,27 +498,6 @@ class TestPcmr:
         with pytest.warns(UserWarning, match="grand mean"):
             imputed = impute_cell_means(values.astype(complex), mask, dm)
         assert imputed[0, 0].real == pytest.approx(3.0)  # mean of {2, 4}
-
-    def test_cell_kernel_f_matches_reimputed_refit_for_every_permutation(self):
-        rng = np.random.default_rng(23)
-        a = Factor.from_labels("a", [0, 0, 0, 0, 1, 1, 1, 2, 2, 2])
-        b = Factor.from_labels("b", [0, 1, 0, 1, 0, 1, 1, 0, 1, 1])
-        with pytest.warns(UnbalancedDesignWarning):
-            dm = encode(DesignSpec(factors=(a, b), interactions=((0, 1),)))
-        x = rng.normal(size=(10, 40)) + 1j * rng.normal(size=(10, 40)) + 3.0
-        mask = rng.random(size=x.shape) < 0.3
-        mask[:, 7] = True  # a variable observed nowhere
-        mask[dm.cell_rows[0], 5] = True  # a cell with nothing observed
-        grand = _grand_means(x, mask)
-        perms = permute_rows(10, 200, seed=6)
-        terms = dm.terms
-        f_cell, resid, total = _cell_kernel_f_ratios(x, mask, dm, terms, perms, grand)
-        for p, row, r, tot in zip(perms, f_cell, resid, total):
-            y = _impute(x[p], mask[p], dm.cell_rows, grand)
-            dec = fit(y, dm)
-            assert row == pytest.approx([f_ratio(dec, t) for t in terms], rel=1e-9)
-            assert r == pytest.approx(ssq(dec.residuals), rel=1e-9)
-            assert tot == pytest.approx(ssq(y), rel=1e-12)
 
     def test_mask_shape_must_match(self):
         dm = one_factor(2)

@@ -1,11 +1,12 @@
-"""The kernel permutation engine against the refit-per-permutation oracle.
+"""The permutation engine against the refit-per-permutation oracle.
 
 ``loop_oracle.loop_permutation_test`` refits the model under every
 permutation, re-imputing masked entries first; the engine in
-``fftasca.glm`` reads permuted F-ratios off one N x N kernel (or, with
-missing entries, off the kernel of the permuted cell means) and refits
-only near-ties.  Their tables must be equal exactly: same nominal rows,
-same p-values, same permutation count.
+``fftasca.glm`` reads permuted F-ratios off the permuted cell means with
+one scorer set up once per test (dense data through a factor of the
+N x N kernel ``Re(X X^H)``) and refits only near-ties.  Their tables must
+be equal exactly: same nominal rows, same p-values, same permutation
+count.
 """
 
 import math
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fftasca import design, synth
+from fftasca import design, glm, synth
 from fftasca.design import DesignSpec, Factor, encode
 from fftasca.errors import EmptyCellWarning, ZeroResidual
 from fftasca.glm import pcmr_permutation_test, permutation_test
@@ -213,3 +214,33 @@ def test_engine_memory_does_not_grow_with_the_permutation_count(masked, seed, mo
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+@pytest.mark.parametrize("seed", range(3))
+def test_dense_tables_far_from_unit_scale_equal_refit_oracle(scale, seed):
+    # the kernel's entries reach about 1e302 and 1e-298, its factor 1e151 and 1e-149
+    rng = np.random.default_rng(seed)
+    dm = encode(DesignSpec(factors=(Factor.from_labels("g", [0, 1] * 4),)))
+    x = rng.normal(size=(8, 40)) + 1j * rng.normal(size=(8, 40))
+    x[::2] += 0.5
+    x *= scale
+    got = permutation_test(x, dm, n_permutations=199, seed=seed)
+    assert got == loop_permutation_test(x, dm, n_permutations=199, seed=seed)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
+def test_scorer_is_set_up_once_per_test(masked, monkeypatch):
+    # 60 permutations in chunks of 7 are 9 chunks, scored by one scorer
+    monkeypatch.setattr(design, "_SEED_CHUNK", 7)
+    calls = []
+    hat_matrices = glm._hat_matrices
+    monkeypatch.setattr(glm, "_hat_matrices", lambda *a: calls.append(a) or hat_matrices(*a))
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(10, 6))
+    dm = encode(DesignSpec(factors=(Factor.from_labels("g", [0] * 5 + [1] * 5),)))
+    if masked:
+        pcmr_permutation_test(x, rng.random(size=x.shape) < 0.2, dm, n_permutations=60, seed=3)
+    else:
+        permutation_test(x, dm, n_permutations=60, seed=3)
+    assert len(calls) == 1

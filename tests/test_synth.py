@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from fftasca.design import encode
-from fftasca.errors import ConfigInvalid, DomainError
+from fftasca.errors import ConfigInvalid, DomainError, NonFiniteResult
 from fftasca.glm import permutation_test
 from fftasca.synth import (
     SynthConfig,
@@ -105,6 +105,18 @@ class TestConfigValidation:
     def test_negative_noise_rejected(self):
         with pytest.raises(ConfigInvalid):
             small_config(noise_sd=-0.5).validate()
+
+    @pytest.mark.parametrize("setting", [{"effect_size": math.nan}, {"effect_size": -math.inf},
+                                         {"noise_sd": math.nan}, {"noise_sd": math.inf}])
+    def test_non_finite_settings_rejected(self, setting):
+        with pytest.raises(ConfigInvalid, match="must be finite"):
+            small_config(**setting).validate()
+
+    @pytest.mark.parametrize("setting", [{"effect_size": 1e200}, {"noise_sd": 1e200},
+                                         {"noise_sd": 1e308, "n_significant": 0}])
+    def test_overflowing_settings_raise(self, setting):
+        with pytest.raises(NonFiniteResult, match="past the floating-point range"):
+            generate(small_config(**setting))
 
     def test_generate_validates(self):
         with pytest.raises(ConfigInvalid):
