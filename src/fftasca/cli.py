@@ -266,9 +266,7 @@ def _cmd_analyze(args):
 
     if args.out_dir is None:
         return EXIT_OK
-    significant = [t for t in dmatrix.terms
-                   if table.row(t).p_value is not None
-                   and table.row(t).p_value <= args.alpha]
+    significant = [t for t in dmatrix.terms if table.row(t).p_value <= args.alpha]
     # every component model is fitted before the first artifact is written,
     # so a component count above an effect's rank leaves no partial --out-dir
     models = []

@@ -38,7 +38,8 @@ class InvalidTerm(DataError):
 
 
 class ZeroResidual(NumericError):
-    """The residual sum of squares is zero; the model is saturated."""
+    """No residual to test against: the model is saturated, or its residual
+    sum of squares rounds to zero against the fitted part."""
 
 
 class NonFiniteResult(NumericError, ValueError):

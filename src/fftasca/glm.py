@@ -160,10 +160,18 @@ def f_ratio(decomp, term):
     effect = decomp.effect(term)
     res_ssq = ssq(decomp.residuals)
     nu2 = decomp.residual_dof
-    if res_ssq == 0.0 or nu2 == 0:
-        raise ZeroResidual("no residual sum of squares or degrees of freedom (saturated model)")
+    _check_residual(res_ssq, nu2)
     nu1 = decomp.dof[term]
     return (ssq(effect) / nu1) / (res_ssq / nu2)
+
+
+def _check_residual(res_ssq, nu2):
+    """Raise :class:`ZeroResidual` unless there is a residual to test against."""
+    if nu2 == 0:
+        raise ZeroResidual("no residual sum of squares or degrees of freedom (saturated model)")
+    if res_ssq == 0.0:
+        raise ZeroResidual(f"the residual sum of squares rounds to zero against the fitted "
+                           f"part, although {nu2} residual degrees of freedom remain")
 
 
 def _csv_cell(text):
@@ -188,8 +196,7 @@ class AnovaRow:
 class AnovaTable:
     """Rows: Mean, one per model term, Residuals, Total.
 
-    F and p are absent on the Mean, Residuals and Total rows; p is absent
-    for terms that were not permutation-tested.
+    F and p are absent on the Mean, Residuals and Total rows.
     """
 
     rows: tuple
@@ -325,16 +332,16 @@ def _total_ssq(x):
     return float(np.einsum("ij,ij->", x, x.conj()).real)
 
 
-def _hat_matrices(dmatrix, tested):
-    """Stacked N x N ``H = A^T A`` of every tested term, ``A = D_t
+def _hat_matrices(dmatrix):
+    """Stacked N x N ``H = A^T A`` of every model term, ``A = D_t
     pinv(D)_t``, then of the fitted part, ``A = D pinv(D)``."""
     d, spans, proj = dmatrix.matrix, dmatrix.column_spans, dmatrix.pinv.real
-    blocks = [d[:, spans[t]] @ proj[spans[t]] for t in tested] + [d @ proj]
+    blocks = [d[:, spans[t]] @ proj[spans[t]] for t in dmatrix.terms] + [d @ proj]
     return np.stack([a.T @ a for a in blocks])
 
 
-def _cell_scorer(x, mask, dmatrix, tested):
-    """Set up, once per test, the scorer of every tested term's F-ratio
+def _cell_scorer(x, mask, dmatrix):
+    """Set up, once per test, the scorer of every model term's F-ratio
     under row permutations, read off the permuted cell means (see the
     module docstring) with cell-mean replacement of the masked entries.
 
@@ -343,7 +350,7 @@ def _cell_scorer(x, mask, dmatrix, tested):
     data are replaced by the kernel factor ``L`` and nothing is masked: for
     the C x N cell-averaging matrix ``A_p`` of a permutation, the permuted
     cell-mean Gram ``A_p K A_p^T`` is ``(A_p L)(A_p L)^T``, and the total
-    is ``Tr K = |L|^2``.  ``score(perms)`` returns the (b, n_tested)
+    is ``Tr K = |L|^2``.  ``score(perms)`` returns the (b, n_terms)
     F-ratios and the residual and total sums of squares of a (b, N) chunk.
     """
     if mask is None:
@@ -355,7 +362,7 @@ def _cell_scorer(x, mask, dmatrix, tested):
     n_cells = len(dmatrix.cell_rows)
     ind = np.zeros((n, n_cells))
     ind[np.arange(n), cells] = 1.0
-    hats = (ind.T @ _hat_matrices(dmatrix, tested) @ ind).reshape(-1, n_cells * n_cells)
+    hats = (ind.T @ _hat_matrices(dmatrix) @ ind).reshape(-1, n_cells * n_cells)
     observed = np.where(mask, 0.0, x)
     parts = [observed.real, observed.imag] if observed.imag.any() else [observed.real]
     k = len(parts)
@@ -364,7 +371,7 @@ def _cell_scorer(x, mask, dmatrix, tested):
     grand_parts = np.stack([grand.real, grand.imag][:k])
     sizes = ind.sum(axis=0)[:, None]
     observed_ssq = _total_ssq(observed)
-    nu1 = np.array([dmatrix.dof[t] for t in tested], dtype=float)
+    nu1 = np.array([dmatrix.dof[t] for t in dmatrix.terms], dtype=float)
     nu2 = n - dmatrix.rank
     # per permutation: the assignment, cell sums and counts, means, and
     # the imputed counts and squared means that weight them
@@ -411,7 +418,7 @@ def _needs_refit(f_kernel, resid, total, f_nominal, nu1, nu2):
     return unclear | near.any(axis=1)
 
 
-def _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask):
+def _permutation_engine(x, dmatrix, n_permutations, seed, mask):
     x = as_complex_matrix(x)
     _check_design(x, dmatrix, stacklevel=3)
     n = x.shape[0]
@@ -419,18 +426,12 @@ def _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask):
     if n_permutations < 1:
         raise ValueError("need at least one permutation")
 
-    all_terms = dmatrix.terms
-    tested = all_terms if terms is None else list(terms)
-    for t in tested:
-        if t not in all_terms:
-            raise UnknownTerm(f"no term '{t}' in the design")
-
+    nu1 = np.array([dmatrix.dof[t] for t in dmatrix.terms], dtype=float)
     nu2 = n - dmatrix.rank
     proj = dmatrix.pinv
-    gram_full = d.T @ d
-    grams = {t: d[:, dmatrix.column_spans[t]].T @ d[:, dmatrix.column_spans[t]]
-             for t in list(dmatrix.column_spans)}
     spans = dmatrix.column_spans
+    gram_full = d.T @ d
+    grams = {t: d[:, span].T @ d[:, span] for t, span in spans.items()}
 
     if mask is not None:
         mask = _check_mask(x, mask)
@@ -444,77 +445,64 @@ def _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask):
         total = _total_ssq(xv)
         fitted = _gram_ssq(theta, gram_full)
         resid = max(total - fitted, 0.0)
-        per_term = {t: _gram_ssq(theta[spans[t]], grams[t]) for t in all_terms}
+        ss = np.array([_gram_ssq(theta[spans[t]], grams[t]) for t in dmatrix.terms])
         mean_ssq = _gram_ssq(theta[spans[MEAN_TERM]], grams[MEAN_TERM])
-        return total, mean_ssq, per_term, resid
-
-    tested_dof = np.array([dmatrix.dof[t] for t in tested], dtype=float)
-
-    def refit_f(xv):
-        _, _, per_term, resid = stats(xv)
-        if resid <= 0.0:
-            return np.inf
-        return np.array([per_term[t] for t in tested]) / tested_dof / (resid / nu2)
+        return total, mean_ssq, ss, resid
 
     if mask is None:
         x0 = x
     else:
         _warn_empty_cells(mask, dmatrix, stacklevel=3)
         x0 = _impute(x, mask, dmatrix.cell_rows, grand)
-    total0, mean0, term_ssq0, resid0 = stats(x0)
-    if resid0 == 0.0 or nu2 == 0:
-        raise ZeroResidual("no residual sum of squares or degrees of freedom (saturated model)")
-    f_nominal = {
-        t: (term_ssq0[t] / dmatrix.dof[t]) / (resid0 / nu2) for t in all_terms
-    }
+    total0, mean0, ss0, resid0 = stats(x0)
+    _check_residual(resid0, nu2)
+    f_nom = ss0 / nu1 / (resid0 / nu2)
     # every value of the table, percentages included, is finite if these are
-    nominal = np.array([total0, mean0, resid0, *term_ssq0.values(), *f_nominal.values()])
+    nominal = np.concatenate(([total0, mean0, resid0], ss0, f_nom))
     if not np.isfinite(100.0 * nominal).all():
         raise NonFiniteResult("the sums of squares overflow the floating-point range")
     if total0 < np.finfo(float).tiny:
         raise NonFiniteResult("the sums of squares underflow the floating-point range")
 
-    f_nom = np.array([f_nominal[t] for t in tested])
-    score = _cell_scorer(x, mask, dmatrix, tested)
-    counts = np.zeros(len(tested), dtype=np.int64)
+    score = _cell_scorer(x, mask, dmatrix)
+    counts = np.zeros(len(nu1), dtype=np.int64)
     n_eff = 0
     for perms in _test_permutations(n, n_permutations, seed):
         f_perm, resid, total = score(perms)
-        near = _needs_refit(f_perm, resid, total, f_nom, tested_dof, nu2)
-        for i in np.flatnonzero(near):
+        for i in np.flatnonzero(_needs_refit(f_perm, resid, total, f_nom, nu1, nu2)):
             p = perms[i]
             xp = x[p] if mask is None else _impute(x[p], mask[p], dmatrix.cell_rows, grand)
-            f_perm[i] = refit_f(xp)
+            _, _, ss, r = stats(xp)
+            f_perm[i] = np.inf if r <= 0.0 else ss / nu1 / (r / nu2)
         tie = F_TIE_REL * np.maximum(np.abs(f_perm), np.abs(f_nom))
         counts += np.count_nonzero(f_perm - f_nom >= -tie, axis=0)
         n_eff += perms.shape[0]
-    p_values = {t: (int(c) + 1) / (n_eff + 1) for t, c in zip(tested, counts)}
+    p_values = (counts + 1) / (n_eff + 1)
 
     rows = [AnovaRow("Mean", mean0, 100.0 * mean0 / total0, 1, mean0)]
-    for t in all_terms:
-        s = term_ssq0[t]
-        nu1 = dmatrix.dof[t]
-        rows.append(AnovaRow(t, s, 100.0 * s / total0, nu1, s / nu1,
-                             f=f_nominal[t], p_value=p_values.get(t)))
+    for t, s, f, p in zip(dmatrix.terms, ss0.tolist(), f_nom.tolist(), p_values.tolist()):
+        df = dmatrix.dof[t]
+        rows.append(AnovaRow(t, s, 100.0 * s / total0, df, s / df, f=f, p_value=p))
     rows.append(AnovaRow("Residuals", resid0, 100.0 * resid0 / total0, nu2, resid0 / nu2))
     rows.append(AnovaRow("Total", total0, 100.0, n, total0 / n))
     return AnovaTable(rows=tuple(rows), n_permutations=n_eff)
 
 
-def permutation_test(x, dmatrix, terms=None, n_permutations=1000, seed=0):
-    """Row-permutation F-tests for every (or the given) model term.
+def permutation_test(x, dmatrix, n_permutations=1000, seed=0):
+    """Row-permutation F-tests for every model term.
 
-    Each tested term's permuted F is compared against its nominal value.
+    Each term's permuted F is compared against its nominal value.
     The permuted F-ratios are read off the permuted cell means of a factor
     of the row kernel ``Re(X X^H)`` (see the module docstring) and give
     the counts of a full refit under every permutation.  Enumeration replaces sampling whenever
     ``n_permutations`` covers all non-identity permutations of the rows.
     """
-    return _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask=None)
+    return _permutation_engine(x, dmatrix, n_permutations, seed, mask=None)
 
 
-def pcmr_permutation_test(x, mask, dmatrix, terms=None, n_permutations=1000, seed=0):
-    """Permutation F-tests with cell-mean replacement of missing entries.
+def pcmr_permutation_test(x, mask, dmatrix, n_permutations=1000, seed=0):
+    """Permutation F-tests of every model term with cell-mean replacement
+    of missing entries.
 
     The mask travels with the permuted rows while the design stays fixed,
     so every iteration re-imputes each missing entry with the mean of the
@@ -524,4 +512,4 @@ def pcmr_permutation_test(x, mask, dmatrix, terms=None, n_permutations=1000, see
     every permutation.  With an all-false mask the result is identical to
     :func:`permutation_test`.
     """
-    return _permutation_engine(x, dmatrix, terms, n_permutations, seed, mask=mask)
+    return _permutation_engine(x, dmatrix, n_permutations, seed, mask=mask)

@@ -167,7 +167,7 @@ def read_metadata(path):
     return ids, tuple(header[1:]), list(columns)
 
 
-def read_design_spec(path, ids_order, interactions=()):
+def read_design_spec(path, ids_order):
     """Build a DesignSpec from a metadata file, aligned to ``ids_order``.
 
     String labels are mapped to integer codes in sorted label order, with
@@ -196,17 +196,17 @@ def read_design_spec(path, ids_order, interactions=()):
             name, [code[lab] for lab in aligned],
             level_names={i: lab for lab, i in code.items()},
         ))
-    return DesignSpec(factors=tuple(factors), interactions=tuple(interactions))
+    return DesignSpec(factors=tuple(factors))
 
 
-def load_dataset(chromatogram_path, metadata_path, interactions=()):
+def load_dataset(chromatogram_path, metadata_path):
     """Load intensities and design together, joined on sample id.
 
     Returns (values, spec, ids): values is complex N x M with zero
     imaginary part, rows in the chromatogram file's order.
     """
     ids, _, values = read_chromatograms(chromatogram_path)
-    spec = read_design_spec(metadata_path, ids, interactions=interactions)
+    spec = read_design_spec(metadata_path, ids)
     return values.astype(np.complex128), spec, ids
 
 

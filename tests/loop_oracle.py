@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from fftasca.design import MEAN_TERM, permute_rows
-from fftasca.errors import RankWarning, UnknownTerm, ZeroResidual
+from fftasca.errors import RankWarning, ZeroResidual
 from fftasca.glm import AnovaRow, AnovaTable, impute_cell_means
 from fftasca.linalg import as_complex_matrix, numerical_rank, pinv, ssq
 
@@ -48,17 +48,12 @@ def _grand_means(x, mask):
     return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
 
 
-def loop_permutation_test(x, dmatrix, terms=None, n_permutations=1000, seed=0,
-                          mask=None):
+def loop_permutation_test(x, dmatrix, n_permutations=1000, seed=0, mask=None):
     """Row-permutation F-tests by refitting under every permutation."""
     x = as_complex_matrix(x)
     n = x.shape[0]
     d = dmatrix.matrix
     all_terms = dmatrix.terms
-    tested = all_terms if terms is None else list(terms)
-    for t in tested:
-        if t not in all_terms:
-            raise UnknownTerm(f"no term '{t}' in the design")
 
     rank = numerical_rank(d)
     if rank < d.shape[1]:
@@ -99,18 +94,18 @@ def loop_permutation_test(x, dmatrix, terms=None, n_permutations=1000, seed=0,
         perms = permute_rows(n, n_permutations, seed=seed)
     n_eff = perms.shape[0]
 
-    f_perm = np.empty((n_eff, len(tested)))
+    f_perm = np.empty((n_eff, len(all_terms)))
     for i in range(n_eff):
         xp = x[perms[i]]
         if mask is not None:
             xp = _impute(xp, mask[perms[i]], cell_rows, grand)
         _, _, per_term, resid = stats(xp)
-        for j, t in enumerate(tested):
+        for j, t in enumerate(all_terms):
             f_perm[i, j] = (per_term[t] / dmatrix.dof[t]) / (resid / nu2) \
                 if resid > 0.0 else np.inf
 
     p_values = {}
-    for j, t in enumerate(tested):
+    for j, t in enumerate(all_terms):
         f_nom = f_nominal[t]
         tie = F_TIE_REL * np.maximum(np.abs(f_perm[:, j]), abs(f_nom))
         count = int(np.count_nonzero(f_perm[:, j] - f_nom >= -tie))
@@ -121,7 +116,7 @@ def loop_permutation_test(x, dmatrix, terms=None, n_permutations=1000, seed=0,
         s = term_ssq0[t]
         nu1 = dmatrix.dof[t]
         rows.append(AnovaRow(t, s, 100.0 * s / total0, nu1, s / nu1,
-                             f=f_nominal[t], p_value=p_values.get(t)))
+                             f=f_nominal[t], p_value=p_values[t]))
     rows.append(AnovaRow("Residuals", resid0, 100.0 * resid0 / total0,
                          nu2, resid0 / nu2 if nu2 > 0 else 0.0))
     rows.append(AnovaRow("Total", total0, 100.0, n, total0 / n))

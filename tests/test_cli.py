@@ -591,6 +591,11 @@ EXIT_TABLE = [
         "simulate", "--trials", "1", "--jitter-grid", "0:10:0", "--permutations", "5",
         "--replicates", "1", "--dataset-out", t / "d", "--out-dir", t / "s"),
      EXIT_NUMERIC, "saturated"),
+    ("residual rounding to zero", lambda c, m, t: (
+        "simulate", "--trials", "1", "--jitter-grid", "0:10:0", "--permutations", "5",
+        "--acquisitions", "600", "--peaks", "4", "--significant", "2",
+        "--effect-size", "1e150", "--out-dir", t / "s"),
+     EXIT_NUMERIC, "rounds to zero against the fitted part"),
     ("non-finite effect size", lambda c, m, t: (
         "simulate", "--trials", "1", "--jitter-grid", "0:10:0", "--permutations", "5",
         "--effect-size", "nan", "--out-dir", t / "s"),

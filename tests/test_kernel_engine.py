@@ -154,12 +154,15 @@ def test_pcmr_loop_equals_refit_oracle():
 def test_drift_near_ties_decided_like_the_refit(seed, monkeypatch):
     # Here a true tie's refit F sits 1.3e-12 to 1.8e-12 from the nominal F,
     # so the count depends on the refit's rounding; the kernel alone
-    # decides those ties the other way.
+    # decides those ties the other way.  The literal (time, freq) z are the
+    # benchmark's pins, so a refit change copied into the oracle still fails.
+    pinned = {13: (2.172065188377434, 2.3282186283807236),
+              15: (2.3282186283807236, 2.577553463733344)}[seed]
     got = jitter_experiment(SynthConfig(), [0], 1, n_permutations=200, seed=seed)
     monkeypatch.setattr(synth, "permutation_test", loop_permutation_test)
     expected = jitter_experiment(SynthConfig(), [0], 1, n_permutations=200, seed=seed)
-    assert got[0].z_freq == expected[0].z_freq
-    assert got[0].z_time == expected[0].z_time
+    assert (got[0].z_time, got[0].z_freq) == pinned
+    assert (expected[0].z_time, expected[0].z_freq) == pinned
 
 
 @pytest.mark.parametrize("kind", ("one_way", "interaction", "exhaustive"))
