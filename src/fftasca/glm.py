@@ -25,12 +25,15 @@ counts one matrix product gives for a chunk of permutations.  Dense data
 are first replaced by the real N x N factor ``L`` of the kernel
 ``K = Re(X X^H) = L L^T``, which has the same permuted sums of squares
 (the distance-matrix form of PERMANOVA, McArdle & Anderson 2001), so a
-permutation costs O(C N^2) whatever the signal length.  The scorer and a
-refit agree to rounding, not bit for bit, so a permutation whose scored F
-lies within rounding reach of the nominal F (or whose scored residual is
-not clearly positive) is re-decided by a direct refit; the counts, and
-hence the p-values, are those of refitting every permutation.  The
-nominal row always comes from the direct fit.
+permutation costs O(C N^2) whatever the signal length.  A permutation
+counts toward a term when its scored sums of squares give a margin
+``ss nu2 - F_nominal nu1 resid >= 0``, which is ``F >= F_nominal`` with no
+division.  Scorer and refit agree to within an error of order ``eps *
+total``, not bit for bit, so a permutation whose margin for some term lies
+within ``KERNEL_TIE_REL * total * (nu2 + F_nominal nu1)`` of zero is
+re-decided by a direct refit; the counts, and hence the p-values, are
+those of refitting every permutation.  The nominal row always comes from
+the direct fit.
 
 Missing values in peak tables are handled by permutational cell-mean
 replacement: every missing entry is imputed with the mean of the observed
@@ -75,8 +78,9 @@ __all__ = [
 # relative window within which two F values count as tied
 F_TIE_REL = 1e-12
 
-# relative error allowed for sums of squares read off the kernel; a kernel
-# F this close to the nominal F is re-decided by a direct refit
+# relative error, against the total, allowed for scored sums of squares; a
+# permutation whose margin to the nominal F is within reach of that error
+# is re-decided by a direct refit
 KERNEL_TIE_REL = 1e-9
 
 # bytes of per-chunk working set of the scorer; larger chunks raise
@@ -263,6 +267,9 @@ def _check_mask(x, mask):
     return mask
 
 
+# sums of finite values can overflow; the callers' finiteness checks raise
+# NonFiniteResult on what that leaves
+@np.errstate(over="ignore", invalid="ignore")
 def _grand_means(x, mask):
     """Per-variable mean over observed entries; 0 where nothing is observed."""
     counts = (~mask).sum(axis=0)
@@ -270,6 +277,7 @@ def _grand_means(x, mask):
     return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _impute(x, mask, cell_rows, grand_means):
     """Replace masked entries with their current design-cell means."""
     out = x.copy()
@@ -341,8 +349,8 @@ def _hat_matrices(dmatrix):
 
 
 def _cell_scorer(x, mask, dmatrix):
-    """Set up, once per test, the scorer of every model term's F-ratio
-    under row permutations, read off the permuted cell means (see the
+    """Set up, once per test, the scorer of every model term's sum of
+    squares under row permutations, read off the permuted cell means (see the
     module docstring) with cell-mean replacement of the masked entries.
 
     The total is ``sum |observed|^2 + sum (n_c - K) |mu|^2`` for the
@@ -350,8 +358,10 @@ def _cell_scorer(x, mask, dmatrix):
     data are replaced by the kernel factor ``L`` and nothing is masked: for
     the C x N cell-averaging matrix ``A_p`` of a permutation, the permuted
     cell-mean Gram ``A_p K A_p^T`` is ``(A_p L)(A_p L)^T``, and the total
-    is ``Tr K = |L|^2``.  ``score(perms)`` returns the (b, n_terms)
-    F-ratios and the residual and total sums of squares of a (b, N) chunk.
+    is ``Tr K = |L|^2``.  ``score(perms)`` returns the (b, n_terms) term
+    sums of squares and the residual and total sums of squares of a (b, N)
+    chunk; the residual is the total less the fitted part, so it can round
+    below zero on an exact fit.
     """
     if mask is None:
         w, v = np.linalg.eigh(x.real @ x.real.T + x.imag @ x.imag.T)
@@ -371,8 +381,6 @@ def _cell_scorer(x, mask, dmatrix):
     grand_parts = np.stack([grand.real, grand.imag][:k])
     sizes = ind.sum(axis=0)[:, None]
     observed_ssq = _total_ssq(observed)
-    nu1 = np.array([dmatrix.dof[t] for t in dmatrix.terms], dtype=float)
-    nu2 = n - dmatrix.rank
     # per permutation: the assignment, cell sums and counts, means, and
     # the imputed counts and squared means that weight them
     step = max(1, _CELL_CHUNK_BYTES // (8 * n_cells * (n + (3 * k + 2) * m)))
@@ -393,29 +401,9 @@ def _cell_scorer(x, mask, dmatrix):
                 "bcm,bckm->b", sizes - counts[:, :, 0], mu * mu)
             mu = mu.reshape(b, n_cells, k * m)
             ss[start:start + b] = (mu @ mu.transpose(0, 2, 1)).reshape(b, -1) @ hats.T
-        resid = total - ss[:, -1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = ss[:, :-1] / nu1 / (resid / nu2)[:, None]
-        return f, resid, total
+        return ss[:, :-1], total - ss[:, -1], total
 
     return score
-
-
-def _needs_refit(f_kernel, resid, total, f_nominal, nu1, nu2):
-    """Permutations whose kernel F cannot be trusted to decide the count.
-
-    The kernel's sums of squares carry an absolute error of order
-    ``eps * total``, so a kernel F sits within
-    ``KERNEL_TIE_REL * (total / resid) * (F + nu2 / nu1)`` of the refit's
-    F.  A permutation is re-decided when that window reaches the nominal
-    F, or when its kernel residual is not clearly positive.
-    """
-    unclear = resid <= KERNEL_TIE_REL * total
-    safe_resid = np.where(unclear, total, resid)
-    scale = np.maximum(np.abs(f_kernel), np.abs(f_nominal)) + nu2 / nu1
-    window = KERNEL_TIE_REL * (total / safe_resid)[:, None] * scale
-    near = np.abs(f_kernel - f_nominal) <= window
-    return unclear | near.any(axis=1)
 
 
 def _permutation_engine(x, dmatrix, n_permutations, seed, mask):
@@ -459,7 +447,9 @@ def _permutation_engine(x, dmatrix, n_permutations, seed, mask):
     f_nom = ss0 / nu1 / (resid0 / nu2)
     # every value of the table, percentages included, is finite if these are
     nominal = np.concatenate(([total0, mean0, resid0], ss0, f_nom))
-    if not np.isfinite(100.0 * nominal).all():
+    with np.errstate(over="ignore"):
+        overflow = not np.isfinite(100.0 * nominal).all()
+    if overflow:
         raise NonFiniteResult("the sums of squares overflow the floating-point range")
     if total0 < np.finfo(float).tiny:
         raise NonFiniteResult("the sums of squares underflow the floating-point range")
@@ -467,15 +457,21 @@ def _permutation_engine(x, dmatrix, n_permutations, seed, mask):
     score = _cell_scorer(x, mask, dmatrix)
     counts = np.zeros(len(nu1), dtype=np.int64)
     n_eff = 0
+    # F >= F_nom exactly when ss nu2 - F_nom nu1 resid >= 0; taken over
+    # nu1 total, that margin moves by at most the window when ss and resid
+    # move by KERNEL_TIE_REL total, whatever the scored F
+    window = KERNEL_TIE_REL * (nu2 / nu1 + f_nom)
     for perms in _test_permutations(n, n_permutations, seed):
-        f_perm, resid, total = score(perms)
-        for i in np.flatnonzero(_needs_refit(f_perm, resid, total, f_nom, nu1, nu2)):
+        ss_perm, resid, total = score(perms)
+        margin = ss_perm / total[:, None] * (nu2 / nu1) - f_nom * (resid / total)[:, None]
+        above = margin >= 0.0
+        for i in np.flatnonzero((np.abs(margin) <= window).any(axis=1)):
             p = perms[i]
             xp = x[p] if mask is None else _impute(x[p], mask[p], dmatrix.cell_rows, grand)
             _, _, ss, r = stats(xp)
-            f_perm[i] = np.inf if r <= 0.0 else ss / nu1 / (r / nu2)
-        tie = F_TIE_REL * np.maximum(np.abs(f_perm), np.abs(f_nom))
-        counts += np.count_nonzero(f_perm - f_nom >= -tie, axis=0)
+            f = np.inf if r <= 0.0 else ss / nu1 / (r / nu2)
+            above[i] = f - f_nom >= -F_TIE_REL * np.maximum(np.abs(f), np.abs(f_nom))
+        counts += np.count_nonzero(above, axis=0)
         n_eff += perms.shape[0]
     p_values = (counts + 1) / (n_eff + 1)
 
@@ -492,8 +488,8 @@ def permutation_test(x, dmatrix, n_permutations=1000, seed=0):
     """Row-permutation F-tests for every model term.
 
     Each term's permuted F is compared against its nominal value.
-    The permuted F-ratios are read off the permuted cell means of a factor
-    of the row kernel ``Re(X X^H)`` (see the module docstring) and give
+    The permuted sums of squares are read off the permuted cell means of a
+    factor of the row kernel ``Re(X X^H)`` (see the module docstring) and give
     the counts of a full refit under every permutation.  Enumeration replaces sampling whenever
     ``n_permutations`` covers all non-identity permutations of the rows.
     """
@@ -507,7 +503,7 @@ def pcmr_permutation_test(x, mask, dmatrix, n_permutations=1000, seed=0):
     The mask travels with the permuted rows while the design stays fixed,
     so every iteration re-imputes each missing entry with the mean of the
     observed entries currently occupying its design cell.  The permuted
-    F-ratios are read off the permuted cell means (see the module
+    sums of squares are read off the permuted cell means (see the module
     docstring) and give the counts of re-imputing and refitting
     every permutation.  With an all-false mask the result is identical to
     :func:`permutation_test`.

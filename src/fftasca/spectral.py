@@ -55,7 +55,9 @@ def transform_rows(x):
     if x.shape[1] == 0:
         raise EmptySignal("cannot transform zero-length rows")
     # a finite signal can overflow; as_complex_matrix rejects that as NonFiniteResult
-    return as_complex_matrix(np.fft.fft(x, axis=1), "spectrum")
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = np.fft.fft(x, axis=1)
+    return as_complex_matrix(spectrum, "spectrum")
 
 
 def inverse_rows(spectrum):
@@ -64,7 +66,9 @@ def inverse_rows(spectrum):
     spectrum = as_complex_matrix(spectrum, "spectrum")
     if spectrum.shape[1] == 0:
         raise EmptySignal("cannot invert zero-length rows")
-    return as_complex_matrix(np.fft.ifft(spectrum, axis=1), "inverse transform")
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.fft.ifft(spectrum, axis=1)
+    return as_complex_matrix(x, "inverse transform")
 
 
 def parseval_check(x):

@@ -74,6 +74,9 @@ class SynthConfig:
             raise ConfigInvalid("effect_size must be finite")
         if self.noise_sd is not None and not 0 <= self.noise_sd < math.inf:
             raise ConfigInvalid("noise_sd must be finite and not negative")
+        if self.n_peaks == 0 and self.noise_sd is None:
+            raise ConfigInvalid("n_peaks = 0 needs noise_sd: its default is 1 % of the "
+                                "tallest band")
         spacing = self.n_acquisitions / (self.n_peaks + 1)
         if spacing <= 2 * (4 * self.peak_sigma + self.jitter_max):
             raise ConfigInvalid(
@@ -221,7 +224,8 @@ def generate(config):
 # Cephes ndtri (Moshier 1989, *Methods and Programs for Mathematical
 # Functions*), the algorithm of ``scipy.special.ndtri``: coefficients and
 # operation order are Cephes' own, and the scalar ``math`` functions keep
-# every result bit-identical to it.
+# every result bit-identical to it.  The Q tables leave out their leading
+# coefficient 1, as Cephes does.
 _EXP_M2 = 0.13533528323661269189  # exp(-2)
 _S2PI = 2.50662827463100050242
 # |y - 1/2| <= 3/8
@@ -253,14 +257,6 @@ def _polevl(x, coef):
     return ans
 
 
-def _p1evl(x, coef):
-    """:func:`_polevl` with an implicit leading coefficient of 1."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
 def _ndtri(y0):
     """Standard normal quantile of ``y0`` in [0, 1]."""
     if y0 == 0.0:
@@ -273,13 +269,13 @@ def _ndtri(y0):
     if y > _EXP_M2:
         y = y - 0.5
         y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, (1.0, *_Q0)))
         return x * _S2PI
     x = math.sqrt(-2.0 * math.log(y))
     x0 = x - math.log(x) / x
     z = 1.0 / x
     p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
-    x = x0 - z * _polevl(z, p) / _p1evl(z, q)
+    x = x0 - z * _polevl(z, p) / _polevl(z, (1.0, *q))
     return x if upper else -x
 
 

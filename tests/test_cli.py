@@ -506,6 +506,9 @@ EXIT_TABLE = [
     ("invalid generator settings", lambda c, m, t: (
         "simulate", "--peaks", "2", "--significant", "3", "--out-dir", t / "s"),
      EXIT_CONFIG, "n_significant"),
+    ("no peaks without a noise sd", lambda c, m, t: (
+        "simulate", "--peaks", "0", "--significant", "0", "--out-dir", t / "s"),
+     EXIT_CONFIG, "n_peaks = 0 needs noise_sd"),
     ("bad jitter grid", lambda c, m, t: ("simulate", "--jitter-grid", "5", "--out-dir", t),
      EXIT_CONFIG, "--jitter-grid"),
     ("unknown interaction factor", lambda c, m, t: (
@@ -637,6 +640,14 @@ EXIT_TABLE = [
         _raw(t, "g.csv", b"sample,g\ns0,a\ns1,a\ns2,a\ns3,b\ns4,b\ns5,b\n"),
         "--domain", "mag", "--permutations", "9", "--out-dir", t / "o"),
      EXIT_NUMERIC, "matrix contains non-finite entries"),
+    ("sums of squares overflowing in percent", lambda c, m, t: (
+        "analyze", _raw(t, "big.csv", b"sample,t0,t1,t2\ns0,1.3e153,-1.3e153,1.3e153\n"
+                        b"s1,-1.3e153,1.3e153,1.3e153\ns2,1.3e153,1.3e153,-1.3e153\n"
+                        b"s3,-1.3e153,-1.3e153,1.3e153\ns4,1.3e153,-1.3e153,-1.3e153\n"
+                        b"s5,-1.3e153,1.3e153,-1.3e153\n"),
+        _raw(t, "g.csv", b"sample,g\ns0,a\ns1,a\ns2,a\ns3,b\ns4,b\ns5,b\n"),
+        "--domain", "time", "--permutations", "9", "--out-dir", t / "o"),
+     EXIT_NUMERIC, "sums of squares overflow"),
     ("overflowing spectrum", lambda c, m, t: (
         "transform", _near_max(c, t), "--out", t / "o.csv"),
      EXIT_NUMERIC, "spectrum contains non-finite entries"),
@@ -651,6 +662,7 @@ EXIT_TABLE = [
 ]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy prints nothing beside the message
 @pytest.mark.parametrize("argv, code, message", [row[1:] for row in EXIT_TABLE],
                          ids=[row[0] for row in EXIT_TABLE])
 def test_exit_code_table(fixture_files, tmp_path, capsys, monkeypatch, argv, code, message):

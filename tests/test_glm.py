@@ -354,7 +354,7 @@ class TestPermutationTest:
                 t1.row(row_name).sum_sq, rel=1e-9)
 
     @pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
-    def test_scorer_f_matches_refit_for_every_permutation(self, masked):
+    def test_scorer_sums_match_refit_for_every_permutation(self, masked):
         rng = np.random.default_rng(23)
         a = Factor.from_labels("a", [0, 0, 0, 0, 1, 1, 1, 2, 2, 2])
         b = Factor.from_labels("b", [0, 1, 0, 1, 0, 1, 1, 0, 1, 1])
@@ -368,14 +368,16 @@ class TestPermutationTest:
             mask[:, 7] = True  # a variable observed nowhere
             mask[dm.cell_rows[0], 5] = True  # a cell with nothing observed
         perms = permute_rows(10, 200, seed=6)
-        f, resid, total = _cell_scorer(x, mask, dm)(perms)
-        for p, row, r, tot in zip(perms, f, resid, total):
+        ss, resid, total = _cell_scorer(x, mask, dm)(perms)
+        for p, row, r, tot in zip(perms, ss, resid, total):
             y = x[p] if mask is None else _impute(x[p], mask[p], dm.cell_rows,
                                                    _grand_means(x, mask))
             dec = fit(y, dm)
-            assert row == pytest.approx([f_ratio(dec, t) for t in dm.terms], rel=1e-9)
-            assert r == pytest.approx(ssq(dec.residuals), rel=1e-9)
-            assert tot == pytest.approx(ssq(y), rel=1e-12)
+            # the refit window of the engine rests on an error of order eps * total
+            bound = 1e-12 * ssq(y)
+            assert np.abs(row - [ssq(dec.effect(t)) for t in dm.terms]).max() <= bound
+            assert abs(r - ssq(dec.residuals)) <= bound
+            assert abs(tot - ssq(y)) <= bound
 
     def test_table_schema_and_percentages(self):
         rng = np.random.default_rng(15)

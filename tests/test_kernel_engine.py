@@ -165,6 +165,27 @@ def test_drift_near_ties_decided_like_the_refit(seed, monkeypatch):
     assert (expected[0].z_time, expected[0].z_freq) == pinned
 
 
+@pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
+def test_exact_fit_permutations_equal_refit_oracle(masked):
+    # The rows come in three equal pairs, so the 48 permutations that put
+    # each pair in one cell fit exactly: the refit's residual is 0 and its F
+    # inf, while the scored residual rounds to a few 1e-16 of the total below 0.
+    dm = encode(DesignSpec(factors=(Factor.from_labels("g", [0, 0, 1, 1, 2, 2]),)))
+    a, b, c = [1.0, 3.0], [2.0, 5.0], [4.0, 1.0]
+    x = np.array([a, b, c, a, b, c])
+    mask = np.zeros(x.shape, dtype=bool)
+    if masked:
+        mask[0, 0] = mask[3, 1] = True  # the pair of a still observes both variables
+    paired = [0, 3, 1, 4, 2, 5]
+    with pytest.raises(ZeroResidual, match="rounds to zero"):
+        pcmr_permutation_test(x[paired], mask[paired], dm, n_permutations=9)
+    got = pcmr_permutation_test(x, mask, dm, n_permutations=719)
+    expected = loop_permutation_test(x, dm, n_permutations=719,
+                                     mask=mask if masked else None)
+    assert got == expected
+    assert got.row("g").p_value < 1.0
+
+
 @pytest.mark.parametrize("kind", ("one_way", "interaction", "exhaustive"))
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
