@@ -18,6 +18,7 @@ import argparse
 import datetime
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -389,6 +390,11 @@ def _cmd_impute(args):
     return EXIT_OK
 
 
+def _warning_line(message, category, filename, lineno, line=None):
+    """A warning as one ``warning: ...`` line, like the CLI's other messages."""
+    return f"warning: {message}\n"
+
+
 def run_pipeline(argv=None):
     """Parse arguments and run one subcommand; returns the exit code."""
     parser = _build_parser()
@@ -399,6 +405,7 @@ def run_pipeline(argv=None):
         "transform": _cmd_transform,
         "impute": _cmd_impute,
     }
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return handlers[args.command](args)
     except ConfigInvalid as exc:
@@ -416,6 +423,8 @@ def run_pipeline(argv=None):
     except FftascaError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 def main():

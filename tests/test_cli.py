@@ -852,3 +852,21 @@ def test_simulate_runs_without_scipy(tmp_path):
              " '--significant', '2', '--out-dir', sys.argv[1]]))")
     assert subprocess.run([sys.executable, "-c", check, str(tmp_path)], env=env).returncode == 0
     assert (tmp_path / "jitter_z.csv").exists()
+
+
+def test_warnings_are_one_line_without_the_source_path(fixture_files, tmp_path):
+    chrom, meta = fixture_files
+    header, first, *rest = meta.read_text(encoding="utf-8").splitlines()
+    # the first sample joins the last sample's group, which leaves the design unbalanced
+    first = f"{first.split(',')[0]},{rest[-1].split(',')[1]}"
+    meta.write_text("\n".join([header, first, *rest]) + "\n", encoding="utf-8")
+    src = str(Path(fftasca.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-m", "fftasca.cli", "analyze", str(chrom), str(meta),
+                           "--permutations", "19"], env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_OK
+    assert "cli.py" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert any("unbalanced" in line for line in lines)
+    assert all(line.startswith("warning: ") for line in lines)

@@ -193,6 +193,15 @@ class TestAnovaCsv:
         assert [r.term for r in back.rows] == ["Mean", *names, "Residuals", "Total"]
         assert back.row("c\rd\ne").sum_sq == table.row("c\rd\ne").sum_sq
 
+    @pytest.mark.parametrize("df", ["x", "1.5", ""])
+    def test_non_integer_df_names_its_cell(self, tmp_path, df):
+        p = tmp_path / "bad.csv"
+        p.write_text("term,SumSq,PercSumSq,df,MeanSq,F,Pvalue\n"
+                     f"Mean,1,50,1,1,,\na,1,50,{df},1,2,0.5\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"cannot parse '{df}' as an integer") as err:
+            dataio.read_anova_csv(p)
+        assert (err.value.line, err.value.column) == (3, 4)
+
     def test_header_mismatch_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("term,SumSq\nMean,1\n", encoding="utf-8")

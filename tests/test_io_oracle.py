@@ -9,6 +9,8 @@ now a ParseError at its cell.
 """
 
 import csv
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -233,3 +235,242 @@ class TestErrorLocations:
         with pytest.raises(ParseError) as err:
             dataio.read_complex_matrix(p)
         assert (err.value.line, err.value.column) == (1, None)
+
+
+def table_outcome(path, paired=False):
+    """What ``_read_float_table`` gives: ids, header and value bits, or the error."""
+    try:
+        ids, header, values = dataio._read_float_table(path, paired)
+    except Exception as exc:  # csv.Error too: every path must raise the same
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None), getattr(exc, "row", None))
+    return "ok", ids, header, values.shape, bits(values)
+
+
+def csv_only(path, paired=False):
+    """The outcome of the ``csv.reader`` path alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_plain_table", lambda *args: None)
+        return table_outcome(path, paired)
+
+
+def pooled(path, paired=False, block=16):
+    """The outcome with every table spread over the pool in ``block``-byte ranges."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_POOL_BYTES", 0)
+        mp.setattr(dataio, "_BLOCK_BYTES", block)
+        return table_outcome(path, paired)
+
+
+DEFECT_LINES = ("", '"q,1",2', 'a\rb,1', "a\x00,1", "s,1,2,3,4,5,6", "s,x7")
+
+
+@st.composite
+def raw_files(draw):
+    """CSV bytes that csv.writer would not always write: unquoted odd ids, either
+    line ending, and sometimes a blank, quoted, CR, NUL, ragged or non-UTF-8 line."""
+    lines = [",".join(row) for row in draw(csv_files())]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(DEFECT_LINES)))
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    data = (end.join(lines) + draw(st.sampled_from(("", end)))).encode("utf-8")
+    if data and draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data) - 1))
+        data = data[:at] + b"\xff" + data[at + 1:]
+    return data
+
+
+class TestPlainPathMatchesCsvPath:
+    """The plain-line parser, in-process and pooled, against ``csv.reader``."""
+
+    @SETTINGS
+    @given(data=raw_files(), paired=st.booleans(), block=st.integers(1, 64))
+    def test_every_path_reads_alike(self, tmp_path, data, paired, block):
+        p = tmp_path / "in.csv"
+        p.write_bytes(data)
+        want = csv_only(p, paired)
+        assert table_outcome(p, paired) == want
+        assert pooled(p, paired, block) == want
+
+    @SETTINGS
+    @given(rows=csv_files())
+    def test_csv_writer_files_read_alike(self, tmp_path, rows):
+        p = tmp_path / "in.csv"
+        with open(p, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        want = csv_only(p)
+        assert table_outcome(p) == want
+        assert pooled(p) == want
+
+
+def study_file(tmp_path, last_line=None, n=40, m=30):
+    """A chromatogram file of ``n`` rows, its last line replaced by ``last_line``."""
+    rng = np.random.default_rng(0)
+    p = tmp_path / "study.csv"
+    dataio.write_chromatograms(p, [f"s{i}" for i in range(n)], rng.normal(size=(n, m)))
+    if last_line is not None:
+        lines = p.read_bytes().split(b"\r\n")
+        lines[-2] = last_line
+        p.write_bytes(b"\r\n".join(lines))
+    return p
+
+
+LAST_LINES = {
+    "ragged row": b"s39,1,2",
+    "bad token": b"s39," + b"1," * 29 + b"x7",
+    "non-UTF-8 byte": b"s39," + b"1," * 29 + b"\xff",
+    "quoted id": b'"s,39",' + b"1," * 29 + b"2",
+    "blank line": b"",
+    "non-finite value": b"s39," + b"1," * 29 + b"inf",
+}
+
+
+class TestPooledReadErrors:
+    @pytest.mark.parametrize("case", sorted(LAST_LINES))
+    def test_last_chunk_defect_matches_csv_path(self, tmp_path, case):
+        p = study_file(tmp_path, LAST_LINES[case])
+        want = csv_only(p)
+        assert pooled(p, block=4096) == want
+        assert table_outcome(p) == want
+        if case == "quoted id":
+            assert want[0] == "ok" and want[1][-1] == "s,39"
+        else:
+            assert want[0] in (ParseError, RaggedRows)
+
+    def test_clean_file_matches_csv_path(self, tmp_path):
+        p = study_file(tmp_path)
+        assert pooled(p, block=4096) == csv_only(p) == table_outcome(p)
+        assert csv_only(p)[0] == "ok"
+
+
+QUOTED_IDS = ["a,b", 'say "x"', "c\rd", "e\nf", " lead", "é", "plain", "", "g,h,i"]
+
+
+def written(tmp_path, name, write, pool):
+    p = tmp_path / name
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_POOL_BYTES", 0 if pool else 1 << 62)
+        mp.setattr(dataio, "_BLOCK_BYTES", 256)
+        write(p)
+    return p.read_bytes()
+
+
+class TestPooledWritesMatchSerial:
+    @pytest.mark.parametrize("kind", ["chromatograms", "complex", "real rows", "real ids"])
+    def test_same_bytes_with_ids_that_need_quoting(self, tmp_path, kind):
+        rng = np.random.default_rng(4)
+        n = len(QUOTED_IDS)
+        values = rng.normal(size=(n, 12)) * 10.0 ** rng.integers(-30, 30, size=(n, 12))
+        values[0, :3] = (-0.0, 5e-324, 1.7976931348623157e308)
+        index = rng.integers(0, 4, size=n)
+        write = {
+            "chromatograms": lambda p: dataio.write_chromatograms(p, QUOTED_IDS, values),
+            "complex": lambda p: dataio.write_complex_matrix(
+                p, QUOTED_IDS, complex_of(values, values[::-1].ravel())),
+            "real rows": lambda p: dataio.write_real_matrix_csv(
+                p, [f"c{j}" for j in range(12)], values[:4], row_ids=QUOTED_IDS, rows=index),
+            "real ids": lambda p: dataio.write_real_matrix_csv(
+                p, [f"c{j}" for j in range(12)], values, row_ids=QUOTED_IDS),
+        }[kind]
+        assert written(tmp_path, "pool.csv", write, True) == \
+            written(tmp_path, "serial.csv", write, False)
+        if kind == "chromatograms":
+            assert same_bytes(tmp_path, write,
+                              lambda p: io_oracle.write_chromatograms(p, QUOTED_IDS, values))
+
+
+class DiesInWorker:
+    """A stand-in for a function of ``fftasca.io`` that exits a forked worker
+    calling it; this process gets the function itself."""
+
+    def __init__(self, name):
+        self.fn, self.parent = getattr(dataio, name), os.getpid()
+
+    def __getstate__(self):
+        return {"parent": self.parent}
+
+    def __call__(self, *args):
+        if os.getpid() != self.parent:
+            os._exit(1)
+        return self.fn(*args)
+
+
+def _refuse_to_start(most):
+    raise OSError("cannot fork")
+
+
+class TestPoolFallback:
+    """A pool that cannot start or breaks leaves the work to this process."""
+
+    @pytest.fixture()
+    def forced(self, monkeypatch):
+        monkeypatch.setattr(dataio, "_POOL_BYTES", 0)
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", 4096)
+        return monkeypatch
+
+    def roundtrip(self, tmp_path):
+        src = study_file(tmp_path)
+        ids, _, values = dataio.read_chromatograms(src)
+        out = tmp_path / "out.csv"
+        dataio.write_chromatograms(out, ids, values)
+        return ids, values, out.read_bytes() == src.read_bytes()
+
+    def test_pool_that_cannot_start(self, tmp_path, forced):
+        forced.setattr(dataio, "_fork_pool", _refuse_to_start)
+        ids, values, same = self.roundtrip(tmp_path)
+        assert len(ids) == 40 and values.shape == (40, 30) and same
+
+    def test_pool_that_breaks_during_the_map(self, tmp_path, forced):
+        forced.setattr(dataio, "_plain_rows", DiesInWorker("_plain_rows"))
+        forced.setattr(dataio, "_row_texts", DiesInWorker("_row_texts"))
+        ids, values, same = self.roundtrip(tmp_path)
+        assert len(ids) == 40 and values.shape == (40, 30) and same
+        assert multiprocessing.active_children() == []
+
+    def test_broken_pool_error_is_caught(self, tmp_path, forced):
+        from concurrent.futures.process import BrokenProcessPool
+
+        class Breaks:
+            """Its first task completes; then the pool is found broken."""
+
+            def map(self, fn, *iterables):
+                yield fn(*next(zip(*iterables)))
+                raise BrokenProcessPool("a worker died")
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        forced.setattr(dataio, "_fork_pool", lambda most: Breaks())
+        ids, values, same = self.roundtrip(tmp_path)
+        assert len(ids) == 40 and values.shape == (40, 30) and same
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="a pool needs two CPUs in the affinity mask")
+class TestWorkersJoined:
+    @pytest.fixture()
+    def started(self, monkeypatch):
+        monkeypatch.setattr(dataio, "_POOL_BYTES", 0)
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", 4096)
+        pools = []
+        fork_pool = dataio._fork_pool
+        monkeypatch.setattr(dataio, "_fork_pool",
+                            lambda most: pools.append(fork_pool(most)) or pools[-1])
+        return pools
+
+    def test_after_read_and_write(self, tmp_path, started):
+        p = study_file(tmp_path)
+        started.clear()
+        ids, _, values = dataio.read_chromatograms(p)
+        assert multiprocessing.active_children() == []
+        dataio.write_chromatograms(tmp_path / "out.csv", ids, values)
+        assert multiprocessing.active_children() == []
+        assert len(started) == 2 and all(pool is not None for pool in started)
+
+    def test_after_read_that_fails(self, tmp_path, started):
+        p = study_file(tmp_path, LAST_LINES["bad token"])
+        started.clear()
+        with pytest.raises(ParseError):
+            dataio.read_chromatograms(p)
+        assert multiprocessing.active_children() == []
+        assert len(started) == 1 and started[0] is not None
