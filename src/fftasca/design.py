@@ -140,10 +140,11 @@ def interaction_name(spec, pair):
 def _coding_columns(factor):
     """Sum-to-zero coding columns for one factor (n x (L-1))."""
     labels = np.asarray(factor.labels)
-    levels = np.unique(labels)
-    if levels.size < 2:
+    # not np.unique: its 1-D path imports numpy.ma, which nothing else loads
+    levels = factor.observed_levels()
+    if len(levels) < 2:
         raise DegenerateFactor(f"factor '{factor.name}' has a single observed level")
-    cols = np.zeros((labels.size, levels.size - 1))
+    cols = np.zeros((labels.size, len(levels) - 1))
     for j, lev in enumerate(levels[:-1]):
         cols[labels == lev, j] = 1.0
     cols[labels == levels[-1], :] = -1.0

@@ -61,7 +61,7 @@ from .errors import (
     UnknownTerm,
     ZeroResidual,
 )
-from .linalg import as_complex_matrix, ssq
+from .linalg import as_complex_matrix, real_matmul, ssq
 
 __all__ = [
     "GlmDecomposition",
@@ -142,12 +142,12 @@ def fit(x, dmatrix):
     x = as_complex_matrix(x)
     _check_design(x, dmatrix, stacklevel=2)
     d = dmatrix.matrix
-    theta = dmatrix.pinv @ x
+    theta = real_matmul(dmatrix.pinv, x)
     effects = {}
     for term in dmatrix.terms:
         span = dmatrix.column_spans[term]
-        effects[term] = d[:, span] @ theta[span]
-    residuals = x - d @ theta
+        effects[term] = real_matmul(d[:, span], theta[span])
+    residuals = x - real_matmul(d, theta)
     return GlmDecomposition(
         theta_hat=theta,
         effects=effects,
@@ -429,7 +429,7 @@ def _permutation_engine(x, dmatrix, n_permutations, seed, mask):
         grand = _grand_means(x, mask)
 
     def stats(xv):
-        theta = proj @ xv
+        theta = real_matmul(proj, xv)
         total = _total_ssq(xv)
         fitted = _gram_ssq(theta, gram_full)
         resid = max(total - fitted, 0.0)

@@ -92,11 +92,17 @@ def _mapped(fn, tasks, pooled):
 
 
 def _decoded_rows(fh, path):
-    """``csv.reader`` rows of ``fh``; text that is not UTF-8 is a ParseError."""
+    """``csv.reader`` rows of ``fh``; text that is not UTF-8, or that
+    ``csv.reader`` rejects, such as a field longer than
+    ``csv.field_size_limit()``, is a ParseError."""
+    reader = csv.reader(fh)
     try:
-        yield from csv.reader(fh)
+        yield from reader
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc} (line {reader.line_num})",
+                         line=reader.line_num) from None
 
 
 def _data_rows(fh, path):

@@ -536,6 +536,14 @@ EXIT_TABLE = [
     ("invalid UTF-8", lambda c, m, t: (
         "transform", _raw(t, "latin1.csv", b"sample,t0\ns\xff,1\n"), "--out", t / "o.csv"),
      EXIT_DATA, "UTF-8"),
+    ("sample id past the csv field limit in transform", lambda c, m, t: (
+        "transform", _raw(t, "long.csv", b"sample,t0\ns0,1\n" + b"s" * 200_000 + b",2\n"),
+        "--out", t / "o.csv"),
+     EXIT_DATA, "field larger than field limit (131072) (line 3)"),
+    ("sample id past the csv field limit in impute", lambda c, m, t: (
+        "impute", c, _edited(m, t, "long.csv", lambda s: s + "s" * 200_000 + ",a\n"),
+        "--out", t / "o.csv"),
+     EXIT_DATA, "field larger than field limit (131072) (line 22)"),
     ("blank header line", lambda c, m, t: (
         "analyze", _edited(c, t, "blank.csv", lambda s: "\n" + s), m),
      EXIT_DATA, "line 1 is blank"),

@@ -560,6 +560,18 @@ class TestProperties:
         parts = parts + sum(dec.effects.values())
         assert np.allclose(parts, x, rtol=0, atol=1e-12 * (1.0 + np.max(np.abs(x))))
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=random_designs())
+    def test_real_valued_data_fit_real_valued_parts(self, case):
+        # the SCA projection takes a real product when the residuals are real-valued
+        dm, x = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            dec = fit(x.real.astype(complex), dm)
+        assert not dec.residuals.imag.any()
+        assert not any(e.imag.any() for e in dec.effects.values())
+        assert not dec.grand_mean_row.imag.any()
+
     @settings(max_examples=40, deadline=None)
     @given(case=random_designs(), n_perm=st.integers(1, 40), seed=st.integers(0, 10**6),
            masked=st.booleans(), density=st.floats(0.0, 0.5))

@@ -93,6 +93,14 @@ class TestUndecodableInput:
             reader(p)
         assert err.value.line == 1
 
+    def test_field_past_the_csv_size_limit_names_its_line(self, tmp_path, kind):
+        reader, text = READERS[kind]
+        p = tmp_path / "long.csv"
+        write(p, text + text.splitlines()[1].replace("s1", "s" * 200_000) + "\n")
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            reader(p)
+        assert err.value.line == 3 and str(p) in str(err.value)
+
 
 class TestMetadataAndJoin:
     def test_load_dataset(self, tmp_path):
