@@ -24,7 +24,7 @@ import numpy as np
 
 from . import io as dataio
 from . import plots
-from .design import MAX_PERMUTATIONS, encode
+from .design import MAX_PERMUTATIONS, encode, term_filename
 from .errors import ConfigInvalid, DataError, FftascaError, NumericError
 from .glm import (
     _grand_means,
@@ -144,10 +144,6 @@ def _check_count(flag, n, least=1, most=None):
         raise ConfigInvalid(f"{flag} must be at most {most}, got {n}")
 
 
-def _term_filename(term):
-    return term.replace(":", "_x_")
-
-
 def _group_labels(spec, term):
     """Display label per sample for a factor or interaction term."""
     columns = []
@@ -188,7 +184,7 @@ def _write_anova(out_dir, name, table):
 def _emit_term_artifacts(args, out_dir, model, decomp, spec, ids):
     term = model.term
     n_comp = model.n_components
-    stem = _term_filename(term)
+    stem = term_filename(term)
     pcs = [f"pc{r + 1}" for r in range(n_comp)]
 
     scores = real_scores(model)
@@ -337,10 +333,9 @@ def _cmd_simulate(args):
         dataio.write_chromatograms(f"{args.dataset_out}_chromatograms.csv",
                                    data.sample_ids, data.x_time)
         factor = data.design.factors[0]
-        with open(f"{args.dataset_out}_metadata.csv", "w", encoding="utf-8") as fh:
-            fh.write("sample,group\n")
-            for sid, lab in zip(data.sample_ids, factor.labels):
-                fh.write(f"{sid},{factor.level_names[lab]}\n")
+        names = [factor.level_names[lab] for lab in factor.labels]
+        _write_text(f"{args.dataset_out}_metadata.csv", "sample,group\n" + "".join(
+            f"{sid},{name}\n" for sid, name in zip(data.sample_ids, names)))
     os.makedirs(args.out_dir, exist_ok=True)
     dataio.write_jitter_table(os.path.join(args.out_dir, "jitter_z.csv"), trials)
 

@@ -36,6 +36,7 @@ __all__ = [
     "permute_rows",
     "MAX_PERMUTATIONS",
     "interaction_name",
+    "term_filename",
 ]
 
 MEAN_TERM = "mean"
@@ -77,7 +78,7 @@ class DesignSpec:
     is part of artifact file names).  It is at most 100 UTF-8 bytes long,
     so that the longest artifact name, ``loadings_time_<a>_x_<b>.svg``,
     stays within the 255-byte file-name limit.  No pair is given twice,
-    in either order.
+    in either order, and no two terms share a :func:`term_filename`.
     """
 
     factors: tuple
@@ -112,6 +113,12 @@ class DesignSpec:
             if frozenset((i, j)) in pairs:
                 raise InvalidTerm(f"interaction {interaction_name(self, (i, j))!r} is repeated")
             pairs.add(frozenset((i, j)))
+        stems = {}
+        for term in self.term_factors:
+            stem = term_filename(term)
+            if stems.setdefault(stem, term) != term:
+                raise InvalidTerm(f"terms {stems[stem]!r} and {term!r} would both name "
+                                  f"their artifact files {stem!r}")
 
     @property
     def n_samples(self):
@@ -135,6 +142,11 @@ class DesignSpec:
 def interaction_name(spec, pair):
     i, j = pair
     return f"{spec.factors[i].name}:{spec.factors[j].name}"
+
+
+def term_filename(term):
+    """The stem of a term's artifact file names: ``a:b`` becomes ``a_x_b``."""
+    return term.replace(":", "_x_")
 
 
 def _coding_columns(factor):
@@ -223,6 +235,11 @@ class DesignMatrix:
     def pinv(self):
         """Pseudoinverse of ``matrix``, as :func:`linalg.pinv`."""
         return pinv_from_svd(self._svd, self.matrix.shape)
+
+    @functools.cached_property
+    def gram(self):
+        """``D^T D``, whose diagonal blocks are the terms' Grams ``D_t^T D_t``."""
+        return self.matrix.T @ self.matrix
 
     @functools.cached_property
     def cell_rows(self):

@@ -14,15 +14,15 @@ Ties within 1e-12 relative count toward the numerator.  When the requested
 permutation count covers all ``n! - 1`` non-identity permutations, the
 engine enumerates them exactly instead of sampling.
 
-Permuted F-ratios are not refitted one by one.  The design's columns are
-constant within a design cell, so the fit sees the data only through the
-C x M cell means ``mu``, and a sum of squares is ``<Ind^T H Ind, Re(mu
-mu^H)>`` for the N x C cell indicator ``Ind`` and a real symmetric N x N
-``H`` (``A^T A`` with ``A = D_t pinv(D)_t`` for a term, the hat matrix for
-the fitted part).  One scorer, set up once per test, reads each
-permutation's sums of squares off its permuted cell means, whose sums and
-counts one matrix product gives for a chunk of permutations.  Dense data
-are first replaced by the real N x N factor ``L`` of the kernel
+Permuted F-ratios are not refitted one by one.  The columns of ``pinv(D)``
+are equal within a design cell, so ``theta = q mu`` for the C x M cell
+means ``mu`` and the F x C cell sums ``q`` of those columns, and a term's
+sum of squares ``Tr(theta_t^H G_t theta_t)``, with the Gram ``G_t = D_t^T
+D_t`` that the direct fit reads too, is ``<q_t^T G_t q_t, Re(mu mu^H)>``
+(``q^T D^T D q`` for the fitted part).  One scorer, set up once per test,
+reads each permutation's sums of squares off its permuted cell means, whose
+sums and counts one matrix product gives for a chunk of permutations.  Dense
+data are first replaced by the real N x N factor ``L`` of the kernel
 ``K = Re(X X^H) = L L^T``, which has the same permuted sums of squares
 (the distance-matrix form of PERMANOVA, McArdle & Anderson 2001), so a
 permutation costs O(C N^2) whatever the signal length.  A permutation
@@ -329,9 +329,10 @@ def _warn_empty_cells(mask, dmatrix, stacklevel):
             )
 
 
-def _gram_ssq(theta, gram):
-    """ssq of ``D_block @ theta`` computed as Tr(theta^H G theta)."""
-    val = np.einsum("rm,rs,sm->", theta.conj(), gram, theta)
+def _gram_ssq(theta, gram, span=slice(None)):
+    """ssq of ``D[:, span] @ theta[span]`` as Tr(theta^H G theta), G the span's block of D^T D."""
+    theta = theta[span]
+    val = np.einsum("rm,rs,sm->", theta.conj(), gram[span, span], theta)
     return float(val.real)
 
 
@@ -340,18 +341,20 @@ def _total_ssq(x):
     return float(np.einsum("ij,ij->", x, x.conj()).real)
 
 
-def _hat_matrices(dmatrix):
-    """Stacked N x N ``H = A^T A`` of every model term, ``A = D_t
-    pinv(D)_t``, then of the fitted part, ``A = D pinv(D)``."""
-    d, spans, proj = dmatrix.matrix, dmatrix.column_spans, dmatrix.pinv.real
-    blocks = [d[:, spans[t]] @ proj[spans[t]] for t in dmatrix.terms] + [d @ proj]
-    return np.stack([a.T @ a for a in blocks])
+def _cell_hats(dmatrix):
+    """Stacked C x C cell hats ``q_t^T G_t q_t`` of every model term, then
+    ``q^T D^T D q`` of the fitted part (see the module docstring)."""
+    gram, proj = dmatrix.gram, dmatrix.pinv.real
+    q = np.stack([proj[:, rows].sum(axis=1) for rows in dmatrix.cell_rows], axis=1)
+    spans = [dmatrix.column_spans[t] for t in dmatrix.terms] + [slice(None)]
+    return np.stack([q[s].T @ gram[s, s] @ q[s] for s in spans])
 
 
 def _cell_scorer(x, mask, dmatrix):
     """Set up, once per test, the scorer of every model term's sum of
-    squares under row permutations, read off the permuted cell means (see the
-    module docstring) with cell-mean replacement of the masked entries.
+    squares under row permutations, read off the permuted cell means with
+    the C x C cell hats ``q_t^T G_t q_t`` of :func:`_cell_hats` (see the
+    module docstring) and cell-mean replacement of the masked entries.
 
     The total is ``sum |observed|^2 + sum (n_c - K) |mu|^2`` for the
     observed count ``K`` of each cell and variable.  With ``mask=None`` the
@@ -370,16 +373,14 @@ def _cell_scorer(x, mask, dmatrix):
     n, m = x.shape
     cells = dmatrix.cell_ids
     n_cells = len(dmatrix.cell_rows)
-    ind = np.zeros((n, n_cells))
-    ind[np.arange(n), cells] = 1.0
-    hats = (ind.T @ _hat_matrices(dmatrix) @ ind).reshape(-1, n_cells * n_cells)
+    hats = _cell_hats(dmatrix).reshape(-1, n_cells * n_cells)
     observed = np.where(mask, 0.0, x)
     parts = [observed.real, observed.imag] if observed.imag.any() else [observed.real]
     k = len(parts)
     fixed = np.hstack(parts + [(~mask).astype(float)])
     grand = _grand_means(x, mask)
     grand_parts = np.stack([grand.real, grand.imag][:k])
-    sizes = ind.sum(axis=0)[:, None]
+    sizes = np.bincount(cells)[:, None]
     observed_ssq = _total_ssq(observed)
     # per permutation: the assignment, cell sums and counts, means, and
     # the imputed counts and squared means that weight them
@@ -410,16 +411,12 @@ def _permutation_engine(x, dmatrix, n_permutations, seed, mask):
     x = as_complex_matrix(x)
     _check_design(x, dmatrix, stacklevel=3)
     n = x.shape[0]
-    d = dmatrix.matrix
     if n_permutations < 1:
         raise ValueError("need at least one permutation")
 
     nu1 = np.array([dmatrix.dof[t] for t in dmatrix.terms], dtype=float)
     nu2 = n - dmatrix.rank
-    proj = dmatrix.pinv
-    spans = dmatrix.column_spans
-    gram_full = d.T @ d
-    grams = {t: d[:, span].T @ d[:, span] for t, span in spans.items()}
+    proj, spans, gram = dmatrix.pinv, dmatrix.column_spans, dmatrix.gram
 
     if mask is not None:
         mask = _check_mask(x, mask)
@@ -431,10 +428,10 @@ def _permutation_engine(x, dmatrix, n_permutations, seed, mask):
     def stats(xv):
         theta = real_matmul(proj, xv)
         total = _total_ssq(xv)
-        fitted = _gram_ssq(theta, gram_full)
+        fitted = _gram_ssq(theta, gram)
         resid = max(total - fitted, 0.0)
-        ss = np.array([_gram_ssq(theta[spans[t]], grams[t]) for t in dmatrix.terms])
-        mean_ssq = _gram_ssq(theta[spans[MEAN_TERM]], grams[MEAN_TERM])
+        ss = np.array([_gram_ssq(theta, gram, spans[t]) for t in dmatrix.terms])
+        mean_ssq = _gram_ssq(theta, gram, spans[MEAN_TERM])
         return total, mean_ssq, ss, resid
 
     if mask is None:

@@ -591,6 +591,18 @@ EXIT_TABLE = [
         "analyze", c, _edited(m, t, "nul.csv", _renamed("a\0")), "--permutations", "19",
         "--domain", "time", "--out-dir", t / "o"),
      EXIT_DATA, "factor name 'a\\x00' contains '\\x00'"),
+    ("factor named like an interaction's files", lambda c, m, t: (
+        "analyze", c, _edited(m, t, "stem.csv", lambda s: _with_factor("a_x_b")(
+            _with_factor("b")(_renamed("a")(s)))), "--interactions", "a:b",
+        "--permutations", "19", "--domain", "time", "--out-dir", t / "o"),
+     EXIT_DATA, "terms 'a_x_b' and 'a:b' would both name their artifact files 'a_x_b'"),
+    ("two interactions named alike in files", lambda c, m, t: (
+        "analyze", c, _edited(m, t, "stems.csv", lambda s: _with_factor("c")(_with_factor(
+            "a_x_b")(_with_factor("b_x_c")(_renamed("a")(s))))),
+        "--interactions", "a:b_x_c", "--interactions", "a_x_b:c",
+        "--permutations", "19", "--domain", "time", "--out-dir", t / "o"),
+     EXIT_DATA, "terms 'a:b_x_c' and 'a_x_b:c' would both name their artifact files "
+                "'a_x_b_x_c'"),
     ("empty spectrum rows", lambda c, m, t: (
         "transform", _raw(t, "empty.csv", b"sample\ns0\n"), "--inverse", "--out", t / "o.csv"),
      EXIT_DATA, "zero-length rows"),

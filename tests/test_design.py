@@ -125,6 +125,17 @@ class TestEncode:
         with pytest.raises(InvalidTerm, match="interaction '(a:b|b:a)' is repeated"):
             DesignSpec(factors=(a, b), interactions=pairs)
 
+    @pytest.mark.parametrize("names, pairs, message", [
+        (("a", "b", "a_x_b"), ((0, 1),), "terms 'a_x_b' and 'a:b' would both name"),
+        (("a", "b_x_c", "a_x_b", "c"), ((0, 1), (2, 3)),
+         "terms 'a:b_x_c' and 'a_x_b:c' would both name their artifact files 'a_x_b_x_c'"),
+    ])
+    def test_terms_sharing_a_file_name_stem_rejected(self, names, pairs, message):
+        factors = tuple(Factor.from_labels(name, [0, 1]) for name in names)
+        assert DesignSpec(factors=factors).term_factors
+        with pytest.raises(InvalidTerm, match=re.escape(message)):
+            DesignSpec(factors=factors, interactions=pairs)
+
     def test_term_factors_follow_the_column_order(self):
         a = Factor.from_labels("a", [0, 0, 1, 1, 2, 2] * 2)
         b = Factor.from_labels("b", [0] * 6 + [1] * 6)
@@ -191,6 +202,20 @@ class TestPreparedDesign:
         assert [r.tolist() for r in dm.cell_rows] == [
             np.flatnonzero(dm.cell_ids == c).tolist()
             for c in range(int(dm.cell_ids.max()) + 1)]
+
+    @pytest.mark.parametrize("make_spec", [
+        lambda: two_by_two(reps=3)[0], _unbalanced_with_interaction, _rank_deficient,
+    ])
+    def test_gram_is_computed_once_and_holds_every_term_gram(self, make_spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnbalancedDesignWarning)
+            dm = encode(make_spec())
+        d = dm.matrix
+        assert dm.gram is dm.gram
+        assert dm.gram.tobytes() == (d.T @ d).tobytes()
+        for span in dm.column_spans.values():
+            block = np.ascontiguousarray(dm.gram[span, span])
+            assert block.tobytes() == (d[:, span].T @ d[:, span]).tobytes()
 
 
 class TestIsBalanced:

@@ -257,9 +257,15 @@ def test_dense_tables_far_from_unit_scale_equal_refit_oracle(scale, seed):
 def test_scorer_is_set_up_once_per_test(masked, monkeypatch):
     # 60 permutations in chunks of 7 are 9 chunks, scored by one scorer
     monkeypatch.setattr(design, "_SEED_CHUNK", 7)
-    calls = []
-    hat_matrices = glm._hat_matrices
-    monkeypatch.setattr(glm, "_hat_matrices", lambda *a: calls.append(a) or hat_matrices(*a))
+    calls, chunks = [], []
+    cell_scorer = glm._cell_scorer
+
+    def spy(*args):
+        calls.append(args)
+        score = cell_scorer(*args)
+        return lambda perms: chunks.append(len(perms)) or score(perms)
+
+    monkeypatch.setattr(glm, "_cell_scorer", spy)
     rng = np.random.default_rng(4)
     x = rng.normal(size=(10, 6))
     dm = encode(DesignSpec(factors=(Factor.from_labels("g", [0] * 5 + [1] * 5),)))
@@ -268,3 +274,47 @@ def test_scorer_is_set_up_once_per_test(masked, monkeypatch):
     else:
         permutation_test(x, dm, n_permutations=60, seed=3)
     assert len(calls) == 1
+    assert chunks == [7] * 8 + [4]
+
+
+def _hats_through_n_by_n(dm):
+    """``Ind^T (A^T A) Ind`` of every term's ``A = D_t pinv(D)_t``, then of the
+    fitted part's ``A = D pinv(D)``, for the N x C cell indicator ``Ind``."""
+    d, spans, proj = dm.matrix, dm.column_spans, dm.pinv.real
+    ind = np.zeros((dm.n_samples, len(dm.cell_rows)))
+    ind[np.arange(dm.n_samples), dm.cell_ids] = 1.0
+    blocks = [d[:, spans[t]] @ proj[spans[t]] for t in dm.terms] + [d @ proj]
+    return np.stack([ind.T @ (a.T @ a) @ ind for a in blocks])
+
+
+def _assert_cell_hats_equal_the_n_by_n_formula(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dm = encode(spec)
+    got, expected = glm._cell_hats(dm), _hats_through_n_by_n(dm)
+    assert got.shape == expected.shape == (len(dm.terms) + 1, len(dm.cell_rows),
+                                           len(dm.cell_rows))
+    err = np.abs(got - expected).max(axis=(1, 2))
+    assert np.all(err <= 1e-12 * np.abs(expected).max(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("labels, interactions", [
+    (([0] * 6 + [1] * 6, [0, 1, 2] * 4), ((0, 1),)),
+    (([0] * 6 + [1] * 6, [0, 1, 2] * 4), ()),
+    (([0, 0, 0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 0, 1, 0, 1, 1, 0, 1, 1]), ()),
+    (([0, 0, 0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 0, 1, 0, 1, 1, 0, 1, 1]), ((0, 1),)),
+    (([0, 0, 1, 1, 0, 1, 2], [1, 1, 2, 2, 1, 2, 0]), ((0, 1),)),
+], ids=["balanced interaction", "balanced", "unbalanced", "unbalanced interaction",
+        "rank deficient"])
+def test_cell_hats_equal_the_n_by_n_formula(labels, interactions):
+    factors = tuple(Factor.from_labels(name, v) for name, v in zip("ab", labels))
+    _assert_cell_hats_equal_the_n_by_n_formula(DesignSpec(factors=factors,
+                                                          interactions=interactions))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(data=st.data())
+def test_cell_hats_equal_the_n_by_n_formula_on_random_designs(kind, data):
+    _assert_cell_hats_equal_the_n_by_n_formula(data.draw(cases(kind))[0])

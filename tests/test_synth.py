@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from fftasca import synth
 from fftasca.design import encode
 from fftasca.errors import ConfigInvalid, DomainError, NonFiniteResult
 from fftasca.glm import permutation_test
@@ -71,6 +73,26 @@ class TestGenerate:
         assert np.all(np.diff(shifted, axis=1) > 0)
         assert data.applied_jitter.min() >= 0
         assert data.applied_jitter.max() <= 50
+
+    @settings(max_examples=60, deadline=None)
+    @given(sigma=st.floats(0.25, 8.0), n_peaks=st.integers(1, 12),
+           jitter_max=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+    def test_order_preserved_at_the_spacing_limit(self, sigma, n_peaks, jitter_max, seed):
+        # the fewest acquisitions that validate() accepts for these bands
+        m = math.floor(2 * (4 * sigma + jitter_max) * (n_peaks + 1)) + 1
+        if m / (n_peaks + 1) <= 2 * (4 * sigma + jitter_max):
+            m += 1
+        cfg = SynthConfig(n_acquisitions=m, n_peaks=n_peaks, n_significant=0,
+                          peak_sigma=sigma, jitter_max=jitter_max,
+                          replicates_per_level=3, seed=seed)
+        data = generate(cfg)
+        with pytest.raises(ConfigInvalid, match="peaks too dense"):
+            replace(cfg, n_acquisitions=m - 1).validate()
+        centers = np.array([p.center for p in data.truth])
+        # no shift of at most jitter_max, not only the drawn one, reorders them
+        assert np.all(np.diff(centers) > jitter_max)
+        shifted = centers[None, :] + data.applied_jitter
+        assert np.all(np.diff(shifted, axis=1) > 0)
 
     def test_truth_level_means_encode_the_shift(self):
         data = generate(small_config(effect_size=5.0, seed=4))
@@ -192,6 +214,15 @@ class TestJitterExperiment:
         lone = jitter_experiment(cfg, [30], trials=1, n_permutations=49, seed=11)
         both = jitter_experiment(cfg, [0, 30], trials=1, n_permutations=49, seed=11)
         assert lone[0] == both[1]
+
+    def test_design_is_encoded_once_per_call(self, monkeypatch):
+        # every trial has the same two-level design
+        calls = []
+        monkeypatch.setattr(synth, "encode", lambda spec: calls.append(spec) or encode(spec))
+        cfg = small_config(n_acquisitions=900, effect_size=6.0)
+        rows = jitter_experiment(cfg, [0, 30], trials=2, n_permutations=49, seed=11)
+        assert len(rows) == 4 and len(calls) == 1
+        assert calls[0] == generate(cfg).design
 
     def test_one_permutation_stream_per_trial(self, stream_draws):
         # the time and the magnitude test of a trial share its stream
