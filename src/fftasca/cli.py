@@ -333,9 +333,8 @@ def _cmd_simulate(args):
         dataio.write_chromatograms(f"{args.dataset_out}_chromatograms.csv",
                                    data.sample_ids, data.x_time)
         factor = data.design.factors[0]
-        names = [factor.level_names[lab] for lab in factor.labels]
-        _write_text(f"{args.dataset_out}_metadata.csv", "sample,group\n" + "".join(
-            f"{sid},{name}\n" for sid, name in zip(data.sample_ids, names)))
+        dataio.write_metadata(f"{args.dataset_out}_metadata.csv", data.sample_ids,
+                              [factor.name], [[factor.level_names[lab] for lab in factor.labels]])
     os.makedirs(args.out_dir, exist_ok=True)
     dataio.write_jitter_table(os.path.join(args.out_dir, "jitter_z.csv"), trials)
 

@@ -45,10 +45,8 @@ observes nothing), so the same scorer serves, and near-ties are
 re-imputed before their refit.  An all-false mask scores as dense data.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass, field
-from io import StringIO
 
 import numpy as np
 
@@ -178,13 +176,6 @@ def _check_residual(res_ssq, nu2):
                            f"part, although {nu2} residual degrees of freedom remain")
 
 
-def _csv_cell(text):
-    """``text`` as one CSV cell: quoted if it holds a comma, quote or line break."""
-    buf = StringIO()
-    csv.writer(buf).writerow([text])
-    return buf.getvalue()[:-2]
-
-
 @dataclass(frozen=True)
 class AnovaRow:
     term: str
@@ -213,21 +204,6 @@ class AnovaTable:
             if r.term == term:
                 return r
         raise UnknownTerm(f"no row '{term}' in this table")
-
-    def to_csv(self):
-        lines = [",".join(self.COLUMNS)]
-        for r in self.rows:
-            cells = [
-                _csv_cell(r.term),
-                f"{r.sum_sq:.17g}",
-                f"{r.perc_sum_sq:.17g}",
-                str(r.df),
-                f"{r.mean_sq:.17g}",
-                "" if r.f is None else f"{r.f:.17g}",
-                "" if r.p_value is None else f"{r.p_value:.17g}",
-            ]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
 
     def to_text(self):
         cells = [list(self.COLUMNS)]
@@ -367,7 +343,8 @@ def _cell_scorer(x, mask, dmatrix):
     below zero on an exact fit.
     """
     if mask is None:
-        w, v = np.linalg.eigh(x.real @ x.real.T + x.imag @ x.imag.T)
+        v = np.ascontiguousarray(x).view(np.float64)  # re/im interleaved: Re(X X^H) = v v^T
+        w, v = np.linalg.eigh(v @ v.T)
         x = v * np.sqrt(np.maximum(w, 0.0))
         mask = np.zeros(x.shape, dtype=bool)
     n, m = x.shape

@@ -1,12 +1,15 @@
-"""CSV ingestion and serialization.
+"""CSV ingestion and serialization: every CSV file fftasca reads or writes.
 
 One interchange format: RFC-4180-style comma-separated UTF-8 text with a
 single header row.  Chromatogram files carry one sample per row, the first
 column holding the sample id; metadata files carry the same ids plus one
-categorical column per factor.  Floats are written with 17 significant
-digits so a write/read round trip is exact.  Large float tables are parsed
-and formatted in forked workers on every CPU of the affinity mask, with the
-same bytes and the same errors as in one process.
+categorical column per factor.  :func:`_csv_line` formats every line of
+cells, quoting a cell that holds a comma, quote, CR or LF; float tables end
+their lines in CRLF, the ANOVA table and metadata files in LF.  Floats are
+written with 17 significant digits so a write/read round trip is exact.
+Large float tables are parsed and formatted in forked workers on every CPU
+of the affinity mask, with the same bytes and the same errors as in one
+process.
 """
 
 import collections
@@ -27,6 +30,7 @@ __all__ = [
     "read_chromatograms",
     "write_chromatograms",
     "read_metadata",
+    "write_metadata",
     "load_dataset",
     "read_complex_matrix",
     "write_complex_matrix",
@@ -94,12 +98,17 @@ def _mapped(fn, tasks, pooled):
 def _decoded_rows(fh, path):
     """``csv.reader`` rows of ``fh``; text that is not UTF-8, or that
     ``csv.reader`` rejects, such as a field longer than
-    ``csv.field_size_limit()``, is a ParseError."""
+    ``csv.field_size_limit()``, is a ParseError that names its line."""
     reader = csv.reader(fh)
     try:
         yield from reader
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8 text ({exc.reason})") from None
+        # no multi-byte UTF-8 character holds the LF that ends a line
+        with open(path, "rb") as raw:
+            line = next((i for i, b in enumerate(raw, 1)
+                         if b.decode("utf-8", "ignore").encode() != b), None)
+        raise ParseError(f"{path}: line {line} is not valid UTF-8 text ({exc.reason})",
+                         line=line) from None
     except csv.Error as exc:
         raise ParseError(f"{path}: {exc} (line {reader.line_num})",
                          line=reader.line_num) from None
@@ -256,10 +265,11 @@ def _read_float_table(path, paired=False):
     return ids, header, values
 
 
-def _id_cell(sid, width):
-    """``sid`` as csv.writer writes it, with the comma before a first float."""
+def _csv_line(cells):
+    """``cells`` as one line of ``csv.writer``'s default dialect, without its
+    CRLF; a cell holding a comma, quote, CR or LF is quoted."""
     buf = StringIO()
-    csv.writer(buf).writerow([sid] + [""] * min(width, 1))
+    csv.writer(buf).writerow(cells)
     return buf.getvalue()[:-2]
 
 
@@ -281,7 +291,9 @@ def _write_float_rows(path, header, values, ids=None, rows=None):
     fmt = ",".join(["%.17g"] * width) + "\r\n"
     step = max(1, _BLOCK_BYTES // (_VALUE_BYTES * width + 2))
     blocks = [(values[i:i + step], fmt) for i in range(0, values.shape[0], step)]
-    leads = itertools.repeat("") if ids is None else (_id_cell(s, width) for s in ids)
+    # an id and, when floats follow, the comma before them
+    leads = (itertools.repeat("") if ids is None
+             else (_csv_line([sid] + [""] * min(width, 1)) for sid in ids))
     pooled = values.size * _VALUE_BYTES > _POOL_BYTES
     with contextlib.closing(_mapped(_row_texts, blocks, pooled)) as parts:
         texts = itertools.chain.from_iterable(parts)
@@ -289,7 +301,7 @@ def _write_float_rows(path, header, values, ids=None, rows=None):
             distinct = list(texts)
             texts = (distinct[k] for k in np.asarray(rows).tolist())
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(header)
+            fh.write(_csv_line(header) + "\r\n")
             for lead, text in zip(leads, texts):
                 fh.write(lead + text)
 
@@ -329,6 +341,12 @@ def read_metadata(path):
     ids, *columns = zip(*body)
     _check_unique(ids, path)
     return ids, tuple(header[1:]), list(columns)
+
+
+def write_metadata(path, ids, factor_names, columns):
+    """Write sample ids plus one label column per factor, as
+    :func:`read_metadata` reads them."""
+    _write_lines(path, [["sample", *factor_names], *zip(ids, *columns)])
 
 
 def read_design_spec(path, ids_order):
@@ -397,23 +415,28 @@ def write_real_matrix_csv(path, column_names, values, row_ids=None, rows=None):
     _write_float_rows(path, header, values, row_ids, rows)
 
 
-def write_anova_csv(path, table):
+def _write_lines(path, rows):
+    """Write each row of cells as one :func:`_csv_line` ended by LF."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(table.to_csv())
+        fh.writelines(_csv_line(row) + "\n" for row in rows)
+
+
+def write_anova_csv(path, table):
+    """One line per row of ``table``; F and p are empty where absent."""
+    _write_lines(path, [AnovaTable.COLUMNS, *(
+        [r.term, f"{r.sum_sq:.17g}", f"{r.perc_sum_sq:.17g}", str(r.df), f"{r.mean_sq:.17g}",
+         *("" if v is None else f"{v:.17g}" for v in (r.f, r.p_value))]
+        for r in table.rows)])
 
 
 def read_anova_csv(path):
+    """The table :func:`write_anova_csv` wrote, with ``n_permutations`` 0."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows or tuple(rows[0]) != AnovaTable.COLUMNS:
-        raise ParseError(f"{path}: unexpected header {rows[0] if rows else '(none)'}",
-                         line=1)
-    parsed = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(AnovaTable.COLUMNS):
-            raise RaggedRows(f"{path}: row {i} has {len(row)} fields", row=i)
-        parsed.append(AnovaRow(
+        rows = _data_rows(fh, path)
+        header = next(rows)
+        if tuple(header) != AnovaTable.COLUMNS:
+            raise ParseError(f"{path}: unexpected header {header}", line=1)
+        parsed = [AnovaRow(
             term=row[0],
             sum_sq=_parse_number(row[1], i, 2, path),
             perc_sum_sq=_parse_number(row[2], i, 3, path),
@@ -421,7 +444,7 @@ def read_anova_csv(path):
             mean_sq=_parse_number(row[4], i, 5, path),
             f=None if row[5] == "" else _parse_number(row[5], i, 6, path),
             p_value=None if row[6] == "" else _parse_number(row[6], i, 7, path),
-        ))
+        ) for i, row in rows]
     return AnovaTable(rows=tuple(parsed), n_permutations=0)
 
 

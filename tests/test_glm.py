@@ -28,6 +28,7 @@ from fftasca.glm import (
     zeros_to_missing,
 )
 from fftasca.glm import _cell_scorer, _grand_means, _impute
+from fftasca.io import write_anova_csv
 from fftasca.linalg import ssq
 from fftasca.spectral import transform_rows
 
@@ -503,12 +504,13 @@ class TestPcmr:
 
 
 class TestSerialization:
-    def test_csv_layout(self):
+    def test_csv_layout(self, tmp_path):
         rng = np.random.default_rng(19)
         dm = one_factor(3)
         x = rng.normal(size=(6, 4)).astype(complex)
         table = permutation_test(x, dm, n_permutations=19, seed=0)
-        text = table.to_csv()
+        write_anova_csv(tmp_path / "anova.csv", table)
+        text = (tmp_path / "anova.csv").read_text(encoding="utf-8")
         lines = text.strip().split("\n")
         assert lines[0] == "term,SumSq,PercSumSq,df,MeanSq,F,Pvalue"
         assert len(lines) == 1 + 4  # Mean, g, Residuals, Total

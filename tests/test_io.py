@@ -6,7 +6,7 @@ import pytest
 from fftasca import io as dataio
 from fftasca.design import encode
 from fftasca.errors import IdMismatch, ParseError, RaggedRows
-from fftasca.glm import permutation_test
+from fftasca.glm import AnovaRow, AnovaTable, permutation_test
 from fftasca.synth import SynthConfig, generate
 
 
@@ -69,6 +69,7 @@ class TestChromatograms:
 
 
 READERS = {
+    "anova": (dataio.read_anova_csv, "term,SumSq,PercSumSq,df,MeanSq,F,Pvalue\ns1,1,50,1,1,,\n"),
     "chromatograms": (dataio.read_chromatograms, "sample,t0\ns1,1.5\n"),
     "spectra": (dataio.read_complex_matrix, "sample,k0_re,k0_im\ns1,1.5,0\n"),
     "metadata": (dataio.read_metadata, "sample,group\ns1,ctrl\n"),
@@ -84,6 +85,15 @@ class TestUndecodableInput:
         with pytest.raises(ParseError, match="UTF-8") as err:
             reader(p)
         assert str(p) in str(err.value)
+
+    def test_invalid_utf8_names_its_line(self, tmp_path, kind):
+        reader, text = READERS[kind]
+        p = tmp_path / "bad.csv"
+        p.write_bytes(text.encode("utf-8") + text.splitlines()[1].encode("utf-8")
+                      .replace(b"s1", "sé".encode("utf-8")[:-1] + b"1") + b"\n")
+        with pytest.raises(ParseError, match="line 3 is not valid UTF-8") as err:
+            reader(p)
+        assert err.value.line == 3
 
     def test_blank_first_line_is_line_1(self, tmp_path, kind):
         reader, _ = READERS[kind]
@@ -215,6 +225,46 @@ class TestAnovaCsv:
         p.write_text("term,SumSq\nMean,1\n", encoding="utf-8")
         with pytest.raises(ParseError):
             dataio.read_anova_csv(p)
+
+    def test_header_only_table_rejected(self, tmp_path):
+        p = tmp_path / "anova.csv"
+        p.write_text("term,SumSq,PercSumSq,df,MeanSq,F,Pvalue\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="at least one data row") as err:
+            dataio.read_anova_csv(p)
+        assert err.value.line == 1
+
+
+class TestCellsThatNeedQuotes:
+    """Terms, factor names and ids holding a comma, quote, CR or LF."""
+
+    def test_anova_bytes_and_round_trip(self, tmp_path):
+        rows = (AnovaRow("Mean", 4.0, 40.0, 1, 4.0),
+                AnovaRow("a,b", 1.0, 10.0, 1, 1.0, 2.5, 0.125),
+                AnovaRow('say "b"', 0.5, 5.0, 2, 0.25, 0.625, 0.5),
+                AnovaRow("c\rd", 0.1, 1.0, 1, 0.1, 0.25, 1.0),
+                AnovaRow("e\nf", 1e-300, 1e-299, 1, 1e-300, 1e-300, 0.99),
+                AnovaRow("Residuals", 4.4, 44.0, 10, 0.44),
+                AnovaRow("Total", 10.0, 100.0, 16, 0.625))
+        p = tmp_path / "anova.csv"
+        dataio.write_anova_csv(p, AnovaTable(rows=rows, n_permutations=7))
+        # the bytes of the earlier AnovaTable.to_csv on the same table
+        assert p.read_bytes() == (
+            b'term,SumSq,PercSumSq,df,MeanSq,F,Pvalue\nMean,4,40,1,4,,\n'
+            b'"a,b",1,10,1,1,2.5,0.125\n"say ""b""",0.5,5,2,0.25,0.625,0.5\n'
+            b'"c\rd",0.10000000000000001,1,1,0.10000000000000001,0.25,1\n'
+            b'"e\nf",1e-300,9.9999999999999999e-300,1,1e-300,1e-300,0.98999999999999999\n'
+            b'Residuals,4.4000000000000004,44,10,0.44,,\nTotal,10,100,16,0.625,,\n')
+        assert dataio.read_anova_csv(p).rows == rows
+
+    def test_metadata_bytes_and_round_trip(self, tmp_path):
+        ids, names = ("s,1", 's"2', "s3"), ("a,b", 'say "b"', "c\rd\ne")
+        columns = [("x", "y\n", "x"), ("1", "2", "2"), ("p", "q", 'r"')]
+        p = tmp_path / "meta.csv"
+        dataio.write_metadata(p, ids, names, columns)
+        assert p.read_bytes() == (
+            b'sample,"a,b","say ""b""","c\rd\ne"\n"s,1",x,1,p\n"s""2","y\n",2,q\n'
+            b's3,x,2,"r"""\n')
+        assert dataio.read_metadata(p) == (ids, names, columns)
 
 
 class TestJitterTable:

@@ -253,6 +253,18 @@ def test_dense_tables_far_from_unit_scale_equal_refit_oracle(scale, seed):
     assert got == loop_permutation_test(x, dm, n_permutations=199, seed=seed)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_strided_complex_view_equals_refit_oracle(seed):
+    # every other column of a complex table, which no float64 view can interleave
+    rng = np.random.default_rng(seed)
+    dm = encode(DesignSpec(factors=(Factor.from_labels("g", [0, 1] * 5),)))
+    x = (rng.normal(size=(10, 80)) + 1j * rng.normal(size=(10, 80)))[:, ::2]
+    x[::2] += 0.3
+    assert not x.flags.c_contiguous
+    got = permutation_test(x, dm, n_permutations=199, seed=seed)
+    assert got == loop_permutation_test(x, dm, n_permutations=199, seed=seed)
+
+
 @pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
 def test_scorer_is_set_up_once_per_test(masked, monkeypatch):
     # 60 permutations in chunks of 7 are 9 chunks, scored by one scorer
