@@ -5,117 +5,45 @@ as matrices of Fourier coefficients: a complex-valued general linear model
 partitions the data by experimental factor, permutation tests assess each
 factor's significance, and per-effect component models are transformed
 back to the time domain for inspection.
+
+Submodules load on first use (PEP 562), so ``import fftasca`` alone
+imports no numpy.
 """
 
-from .design import DesignMatrix, DesignSpec, Factor, encode, is_balanced, permute_rows
-from .errors import (
-    ConfigInvalid,
-    DataError,
-    DegenerateFactor,
-    DimensionMismatch,
-    DomainError,
-    EmptySeries,
-    EmptySignal,
-    FftascaError,
-    IdMismatch,
-    InvalidTerm,
-    NonConvergence,
-    NonFiniteResult,
-    NumericError,
-    ParseError,
-    RaggedRows,
-    RankExceeded,
-    RankWarning,
-    UnknownTerm,
-    ZeroResidual,
-)
-from .glm import (
-    AnovaTable,
-    GlmDecomposition,
-    f_ratio,
-    fit,
-    impute_cell_means,
-    pcmr_permutation_test,
-    permutation_test,
-    zeros_to_missing,
-)
-from .linalg import hermitian, mean_center_columns, pinv, ssq, svd
-from .plots import emit_svg
-from .sca import (
-    ScaModel,
-    TimeDomainView,
-    default_components,
-    effect_to_time,
-    loadings_to_time,
-    real_scores,
-    sca_fit,
-)
-from .spectral import (
-    dft_forward,
-    dft_inverse,
-    inverse_rows,
-    parseval_check,
-    transform_rows,
-)
-from .synth import SynthConfig, SynthDataset, generate, jitter_experiment, p_to_z
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnovaTable",
-    "ConfigInvalid",
-    "DataError",
-    "DegenerateFactor",
-    "DesignMatrix",
-    "DesignSpec",
-    "DimensionMismatch",
-    "DomainError",
-    "EmptySeries",
-    "EmptySignal",
-    "Factor",
-    "FftascaError",
-    "GlmDecomposition",
-    "IdMismatch",
-    "InvalidTerm",
-    "NonConvergence",
-    "NonFiniteResult",
-    "NumericError",
-    "ParseError",
-    "RaggedRows",
-    "RankExceeded",
-    "RankWarning",
-    "ScaModel",
-    "SynthConfig",
-    "SynthDataset",
-    "TimeDomainView",
-    "UnknownTerm",
-    "ZeroResidual",
-    "default_components",
-    "dft_forward",
-    "dft_inverse",
-    "effect_to_time",
-    "emit_svg",
-    "encode",
-    "f_ratio",
-    "fit",
-    "generate",
-    "hermitian",
-    "impute_cell_means",
-    "inverse_rows",
-    "is_balanced",
-    "jitter_experiment",
-    "loadings_to_time",
-    "mean_center_columns",
-    "p_to_z",
-    "parseval_check",
-    "pcmr_permutation_test",
-    "permutation_test",
-    "permute_rows",
-    "pinv",
-    "real_scores",
-    "sca_fit",
-    "ssq",
-    "svd",
-    "transform_rows",
-    "zeros_to_missing",
-]
+_EXPORTS = {
+    "design": "DesignMatrix DesignSpec Factor encode is_balanced permute_rows",
+    "errors": "ConfigInvalid DataError DegenerateFactor DimensionMismatch DomainError "
+              "EmptySeries EmptySignal FftascaError IdMismatch InvalidTerm NonConvergence "
+              "NonFiniteResult NumericError ParseError RaggedRows RankExceeded RankWarning "
+              "UnknownTerm ZeroResidual",
+    "glm": "AnovaTable GlmDecomposition f_ratio fit impute_cell_means pcmr_permutation_test "
+           "permutation_test zeros_to_missing",
+    "linalg": "hermitian mean_center_columns pinv ssq svd",
+    "plots": "emit_svg",
+    "sca": "ScaModel TimeDomainView default_components effect_to_time loadings_to_time "
+           "real_scores sca_fit",
+    "spectral": "dft_forward dft_inverse inverse_rows parseval_check transform_rows",
+    "synth": "SynthConfig SynthDataset generate jitter_experiment p_to_z",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = {*_EXPORTS, "cli", "io"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -16,9 +16,17 @@ memory.
 
 import argparse
 import datetime
+import errno
 import os
 import sys
 import warnings
+
+# OpenBLAS reads its thread count when numpy loads, and its idle worker spins
+# on a second CPU from then on; a CLI process gains no wall time from it, so
+# it runs BLAS on one thread unless the caller has chosen a count
+if "numpy" not in sys.modules and not os.environ.keys() & {
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -326,6 +334,10 @@ def _cmd_simulate(args):
         seed=args.seed,
     )
     config.validate()
+    # the trials take the run's time, so a prefix in a missing directory fails before them
+    if args.dataset_out and not os.path.isdir(os.path.dirname(args.dataset_out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                f"{args.dataset_out}_chromatograms.csv")
     trials = jitter_experiment(config, levels, args.trials,
                                n_permutations=args.permutations, seed=args.seed)
     if args.dataset_out:

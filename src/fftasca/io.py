@@ -79,8 +79,9 @@ def _mapped(fn, tasks, pooled):
         from concurrent.futures.process import BrokenProcessPool
         try:
             with warnings.catch_warnings():
-                # the workers only parse or format text; they take no lock
-                # that a thread of this process, such as a BLAS thread, holds
+                # the workers only parse or format text, so they take no lock
+                # that another thread holds: the CLI runs no BLAS thread, but
+                # a library caller's process may
                 warnings.filterwarnings("ignore", ".* is multi-threaded, use of fork",
                                         DeprecationWarning)
                 results = pool.map(fn, *zip(*tasks))

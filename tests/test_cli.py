@@ -1,5 +1,6 @@
 import csv
 import itertools
+import json
 import math
 import os
 import re
@@ -16,7 +17,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import fftasca
 from fftasca import errors, glm
 from fftasca import io as dataio
 from fftasca.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, run_pipeline
@@ -295,6 +295,19 @@ class TestSimulate:
                                            f"{prefix}_metadata.csv")
         assert x.shape[0] == len(ids) == 10
         assert spec.factors[0].name == "group"
+
+    def test_dataset_out_in_a_missing_directory_fails_before_the_trials(
+            self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("fftasca.cli.jitter_experiment", lambda *a, **k: calls.append(a))
+        out = tmp_path / "sim"
+        prefix = tmp_path / "missing" / "demo"
+        assert run("simulate", "--jitter-grid", "0:10:0", "--trials", "1",
+                   "--dataset-out", prefix, "--out-dir", out) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: [Errno 2] No such file or directory: '{prefix}_chromatograms.csv'\n")
+        assert calls == []
+        assert not out.exists() and not prefix.parent.exists()
 
     def test_bad_grid_is_config_error(self, tmp_path):
         assert run("simulate", "--jitter-grid", "50:10:0",
@@ -855,41 +868,64 @@ def test_cli_fuzz_exits_cleanly(case):
                     assert not _non_finite(path), (argv[0], path.name)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    src = str(Path(fftasca.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+def test_cli_import_leaves_scipy_unloaded(child_env):
     check = "import sys, fftasca.cli; sys.exit(int('scipy' in sys.modules))"
-    assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", check], env=child_env).returncode == 0
 
 
-def test_simulate_runs_without_scipy(tmp_path):
-    src = str(Path(fftasca.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+def test_simulate_runs_without_scipy(tmp_path, child_env):
     # a None entry makes every import of scipy fail
     check = ("import sys; sys.modules['scipy'] = None\n"
              "from fftasca.cli import run_pipeline\n"
              "sys.exit(run_pipeline(['simulate', '--jitter-grid', '0:10:10', '--trials', '1',"
              " '--permutations', '19', '--acquisitions', '600', '--peaks', '4',"
              " '--significant', '2', '--out-dir', sys.argv[1]]))")
-    assert subprocess.run([sys.executable, "-c", check, str(tmp_path)], env=env).returncode == 0
+    done = subprocess.run([sys.executable, "-c", check, str(tmp_path)], env=child_env)
+    assert done.returncode == 0
     assert (tmp_path / "jitter_z.csv").exists()
 
 
-def test_warnings_are_one_line_without_the_source_path(fixture_files, tmp_path):
+def test_warnings_are_one_line_without_the_source_path(fixture_files, tmp_path, child_env):
     chrom, meta = fixture_files
     header, first, *rest = meta.read_text(encoding="utf-8").splitlines()
     # the first sample joins the last sample's group, which leaves the design unbalanced
     first = f"{first.split(',')[0]},{rest[-1].split(',')[1]}"
     meta.write_text("\n".join([header, first, *rest]) + "\n", encoding="utf-8")
-    src = str(Path(fftasca.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     done = subprocess.run([sys.executable, "-m", "fftasca.cli", "analyze", str(chrom), str(meta),
-                           "--permutations", "19"], env=env, capture_output=True, text=True)
+                           "--permutations", "19"], env=child_env, capture_output=True, text=True)
     assert done.returncode == EXIT_OK
     assert "cli.py" not in done.stderr
     lines = done.stderr.splitlines()
     assert any("unbalanced" in line for line in lines)
     assert all(line.startswith("warning: ") for line in lines)
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc to count threads")
+def test_cli_import_runs_blas_on_one_thread(child_env):
+    check = ("import json, os, fftasca.cli\n"
+             "print(json.dumps([len(os.listdir('/proc/self/task')),"
+             " os.environ.get('OPENBLAS_NUM_THREADS')]))")
+    done = subprocess.run([sys.executable, "-c", check], env=child_env,
+                          capture_output=True, text=True)
+    assert json.loads(done.stdout) == [1, "1"], done.stderr
+
+
+@pytest.mark.parametrize("name", BLAS_THREAD_VARIABLES)
+def test_cli_import_keeps_the_callers_thread_count(child_env, name):
+    check = ("import json, os, fftasca.cli\n"
+             f"print(json.dumps([os.environ.get(k) for k in {BLAS_THREAD_VARIABLES}]))")
+    done = subprocess.run([sys.executable, "-c", check], env=dict(child_env, **{name: "2"}),
+                          capture_output=True, text=True)
+    assert json.loads(done.stdout) == [
+        "2" if k == name else None for k in BLAS_THREAD_VARIABLES], done.stderr
+
+
+def test_cli_import_after_numpy_leaves_the_environment_alone(child_env):
+    check = ("import os, sys, numpy\n"
+             "before = dict(os.environ)\n"
+             "import fftasca.cli\n"
+             "sys.exit(int(dict(os.environ) != before))")
+    assert subprocess.run([sys.executable, "-c", check], env=child_env).returncode == 0
