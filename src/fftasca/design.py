@@ -242,12 +242,6 @@ class DesignMatrix:
         return self.matrix.T @ self.matrix
 
     @functools.cached_property
-    def cell_rows(self):
-        """Row indices of each cell, indexed by cell id."""
-        return tuple(np.flatnonzero(self.cell_ids == c)
-                     for c in range(int(self.cell_ids.max()) + 1))
-
-    @functools.cached_property
     def distinct_rows(self):
         """:class:`DistinctRows` of each term's coding columns, by term.
 

@@ -253,23 +253,23 @@ def _grand_means(x, mask):
     return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
 
 
+def _cell_sums(cells, values):
+    """Per-cell sums of the rows of ``values``, row ``i`` in cell ``cells[i]``,
+    added in row order; booleans are counted, as intp."""
+    sums = np.zeros((int(cells.max()) + 1, *values.shape[1:]),
+                    dtype=np.result_type(values, np.intp))
+    np.add.at(sums, cells, values)
+    return sums
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _impute(x, mask, cell_rows, grand_means):
+def _impute(x, mask, cells, grand_means):
     """Replace masked entries with their current design-cell means."""
-    out = x.copy()
-    observed = np.where(mask, 0.0, x)
-    for rows in cell_rows:
-        cell_mask = mask[rows]
-        if not cell_mask.any():
-            continue
-        counts = (~cell_mask).sum(axis=0)
-        sums = observed[rows].sum(axis=0)
-        means = np.divide(sums, counts, out=grand_means.astype(x.dtype, copy=True),
-                          where=counts > 0)
-        block = out[rows]
-        block[cell_mask] = np.broadcast_to(means, block.shape)[cell_mask]
-        out[rows] = block
-    return out
+    sums = _cell_sums(cells, np.where(mask, 0.0, x))
+    counts = _cell_sums(cells, ~mask)
+    means = np.divide(sums, counts, out=np.broadcast_to(grand_means, sums.shape).astype(x.dtype),
+                      where=counts > 0)
+    return np.where(mask, means[cells], x)
 
 
 def impute_cell_means(x, mask, dmatrix, warn_empty=True):
@@ -286,23 +286,22 @@ def impute_cell_means(x, mask, dmatrix, warn_empty=True):
     if warn_empty:
         _warn_empty_cells(mask, dmatrix, stacklevel=2)
     # cell means of finite values can overflow; that raises NonFiniteResult
-    return as_complex_matrix(_impute(x, mask, dmatrix.cell_rows, _grand_means(x, mask)),
+    return as_complex_matrix(_impute(x, mask, dmatrix.cell_ids, _grand_means(x, mask)),
                              "imputed table")
 
 
 def _warn_empty_cells(mask, dmatrix, stacklevel):
     """Warn for each cell that imputes a variable it never observes,
     ``stacklevel`` frames up as for :func:`warnings.warn`."""
-    for c, rows in enumerate(dmatrix.cell_rows):
-        empty = (~mask[rows]).sum(axis=0) == 0
-        if mask[rows].any() and empty.any():
-            cols = np.flatnonzero(empty)
-            warnings.warn(
-                f"cell {c} has no observed value for variable(s) "
-                f"{cols.tolist()[:5]}; using the grand mean",
-                EmptyCellWarning,
-                stacklevel=stacklevel + 1,
-            )
+    # a cell holds at least one row, so a variable it never observes is masked there
+    empty = _cell_sums(dmatrix.cell_ids, ~mask) == 0
+    for c in np.flatnonzero(empty.any(axis=1)):
+        warnings.warn(
+            f"cell {c} has no observed value for variable(s) "
+            f"{np.flatnonzero(empty[c]).tolist()[:5]}; using the grand mean",
+            EmptyCellWarning,
+            stacklevel=stacklevel + 1,
+        )
 
 
 def _gram_ssq(theta, gram, span=slice(None)):
@@ -320,10 +319,9 @@ def _total_ssq(x):
 def _cell_hats(dmatrix):
     """Stacked C x C cell hats ``q_t^T G_t q_t`` of every model term, then
     ``q^T D^T D q`` of the fitted part (see the module docstring)."""
-    gram, proj = dmatrix.gram, dmatrix.pinv.real
-    q = np.stack([proj[:, rows].sum(axis=1) for rows in dmatrix.cell_rows], axis=1)
+    q = _cell_sums(dmatrix.cell_ids, dmatrix.pinv.real.T).T
     spans = [dmatrix.column_spans[t] for t in dmatrix.terms] + [slice(None)]
-    return np.stack([q[s].T @ gram[s, s] @ q[s] for s in spans])
+    return np.stack([q[s].T @ dmatrix.gram[s, s] @ q[s] for s in spans])
 
 
 def _cell_scorer(x, mask, dmatrix):
@@ -349,7 +347,8 @@ def _cell_scorer(x, mask, dmatrix):
         mask = np.zeros(x.shape, dtype=bool)
     n, m = x.shape
     cells = dmatrix.cell_ids
-    n_cells = len(dmatrix.cell_rows)
+    sizes = np.bincount(cells)[:, None]
+    n_cells = len(sizes)
     hats = _cell_hats(dmatrix).reshape(-1, n_cells * n_cells)
     observed = np.where(mask, 0.0, x)
     parts = [observed.real, observed.imag] if observed.imag.any() else [observed.real]
@@ -357,7 +356,6 @@ def _cell_scorer(x, mask, dmatrix):
     fixed = np.hstack(parts + [(~mask).astype(float)])
     grand = _grand_means(x, mask)
     grand_parts = np.stack([grand.real, grand.imag][:k])
-    sizes = np.bincount(cells)[:, None]
     observed_ssq = _total_ssq(observed)
     # per permutation: the assignment, cell sums and counts, means, and
     # the imputed counts and squared means that weight them
@@ -415,18 +413,23 @@ def _permutation_engine(x, dmatrix, n_permutations, seed, mask):
         x0 = x
     else:
         _warn_empty_cells(mask, dmatrix, stacklevel=3)
-        x0 = _impute(x, mask, dmatrix.cell_rows, grand)
-    total0, mean0, ss0, resid0 = stats(x0)
-    _check_residual(resid0, nu2)
-    f_nom = ss0 / nu1 / (resid0 / nu2)
-    # every value of the table, percentages included, is finite if these are
-    nominal = np.concatenate(([total0, mean0, resid0], ss0, f_nom))
-    with np.errstate(over="ignore"):
-        overflow = not np.isfinite(100.0 * nominal).all()
-    if overflow:
+        x0 = _impute(x, mask, dmatrix.cell_ids, grand)
+    # a fit of finite values can overflow; the checks below raise on what that leaves
+    with np.errstate(over="ignore", invalid="ignore"):
+        total0, mean0, ss0, resid0 = stats(x0)
+        # every sum of the table, percentages included, is finite if these are
+        overflow = not np.isfinite(100.0 * np.array([total0, mean0, resid0, *ss0])).all()
+    # a saturated design is decided first, then overflow, underflow and a zero residual
+    if nu2 > 0 and overflow:
         raise NonFiniteResult("the sums of squares overflow the floating-point range")
-    if total0 < np.finfo(float).tiny:
+    if nu2 > 0 and total0 < np.finfo(float).tiny and x0.any():
         raise NonFiniteResult("the sums of squares underflow the floating-point range")
+    _check_residual(resid0, nu2)
+    # a subnormal residual over nu2 can round to zero
+    with np.errstate(over="ignore", divide="ignore"):
+        f_nom = ss0 / nu1 / (resid0 / nu2)
+    if not np.isfinite(f_nom).all():
+        raise NonFiniteResult("the sums of squares overflow the floating-point range")
 
     score = _cell_scorer(x, mask, dmatrix)
     counts = np.zeros(len(nu1), dtype=np.int64)
@@ -441,7 +444,7 @@ def _permutation_engine(x, dmatrix, n_permutations, seed, mask):
         above = margin >= 0.0
         for i in np.flatnonzero((np.abs(margin) <= window).any(axis=1)):
             p = perms[i]
-            xp = x[p] if mask is None else _impute(x[p], mask[p], dmatrix.cell_rows, grand)
+            xp = x[p] if mask is None else _impute(x[p], mask[p], dmatrix.cell_ids, grand)
             _, _, ss, r = stats(xp)
             f = np.inf if r <= 0.0 else ss / nu1 / (r / nu2)
             above[i] = f - f_nom >= -F_TIE_REL * np.maximum(np.abs(f), np.abs(f_nom))

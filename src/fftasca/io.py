@@ -42,12 +42,12 @@ __all__ = [
 ]
 
 # Float tables are parsed and formatted in blocks of about this many bytes of
-# text, which bounds the memory a block takes; a table of more than
-# _POOL_BYTES is spread over forked workers, one per CPU of the affinity
-# mask.  Below that size a pool's import, fork and join cost about as much
-# as they save: on two CPUs the break-even was about 2.5 MB.
+# text, which bounds the memory a block takes; more than _POOL_BLOCKS blocks
+# are spread over forked workers, one per CPU of the affinity mask.  Below
+# that a pool's import, fork and join cost about as much as they save: on
+# two CPUs the break-even was about 2.5 MB.
 _BLOCK_BYTES = 1 << 20
-_POOL_BYTES = 4 << 20
+_POOL_BLOCKS = 4
 # the width of a ``%.17g`` value and its comma, as a typical float takes
 _VALUE_BYTES = 24
 
@@ -63,8 +63,9 @@ def _fork_pool(most):
     return ProcessPoolExecutor(cpus, mp_context=multiprocessing.get_context("fork"))
 
 
-def _mapped(fn, tasks, pooled):
-    """Yield ``fn(*task)`` for each task, in order; in forked workers if ``pooled``.
+def _mapped(fn, tasks):
+    """Yield ``fn(*task)`` for each task, in order; in forked workers if
+    there are more than ``_POOL_BLOCKS`` tasks.
 
     With a single CPU, or where a pool cannot start or breaks, the tasks
     left run in this process.  The workers are joined when the generator
@@ -72,7 +73,7 @@ def _mapped(fn, tasks, pooled):
     """
     done = 0
     try:
-        pool = _fork_pool(len(tasks)) if pooled else None
+        pool = _fork_pool(len(tasks)) if len(tasks) > _POOL_BLOCKS else None
     except OSError:
         pool = None
     if pool is not None:
@@ -204,7 +205,7 @@ def _plain_table(path, paired):
     """(ids, header, values) of a file of plain lines, else None.
 
     The data lines are parsed in blocks of ``_BLOCK_BYTES``, across the CPUs
-    when the file is larger than ``_POOL_BYTES``.  Any file the blocks do not
+    when there are more than ``_POOL_BLOCKS`` blocks.  Any file the blocks do not
     all take, or with unpaired re/im columns when ``paired``, gives None.
     """
     with open(path, "rb") as fh:
@@ -219,7 +220,7 @@ def _plain_table(path, paired):
     tasks = [(path, a, min(a + _BLOCK_BYTES, size), width)
              for a in range(start, size, _BLOCK_BYTES)]
     ids, blocks = [], []
-    with contextlib.closing(_mapped(_plain_rows, tasks, size - start > _POOL_BYTES)) as parts:
+    with contextlib.closing(_mapped(_plain_rows, tasks)) as parts:
         for part in parts:
             if part is None:
                 return None
@@ -284,8 +285,8 @@ def _write_float_rows(path, header, values, ids=None, rows=None):
 
     Line ``i`` holds ``values[rows[i]]``; ``rows`` defaults to each row of
     ``values`` once.  Each row of ``values`` is formatted once, in blocks
-    of about ``_BLOCK_BYTES`` of text, across the CPUs when the text would
-    exceed ``_POOL_BYTES``; without ``rows`` the blocks stream to the file.
+    of about ``_BLOCK_BYTES`` of text, across the CPUs when there are more
+    than ``_POOL_BLOCKS`` blocks; without ``rows`` the blocks stream to the file.
     """
     values = np.asarray(values, dtype=float)
     width = values.shape[1]
@@ -295,8 +296,7 @@ def _write_float_rows(path, header, values, ids=None, rows=None):
     # an id and, when floats follow, the comma before them
     leads = (itertools.repeat("") if ids is None
              else (_csv_line([sid] + [""] * min(width, 1)) for sid in ids))
-    pooled = values.size * _VALUE_BYTES > _POOL_BYTES
-    with contextlib.closing(_mapped(_row_texts, blocks, pooled)) as parts:
+    with contextlib.closing(_mapped(_row_texts, blocks)) as parts:
         texts = itertools.chain.from_iterable(parts)
         if rows is not None:
             distinct = list(texts)

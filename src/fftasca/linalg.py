@@ -132,11 +132,8 @@ def rank_from_singular_values(s, shape):
 
 
 def pinv(x):
-    """Moore-Penrose pseudoinverse via SVD.
-
-    Singular values at or below ``1e-12 * max(rows, cols) * s_max`` are
-    treated as zero.
-    """
+    """Moore-Penrose pseudoinverse via SVD, with the singular values that
+    :func:`numerical_rank` counts as zero treated as zero."""
     x = as_complex_matrix(x)
     return pinv_from_svd(svd(x), x.shape)
 
@@ -144,11 +141,9 @@ def pinv(x):
 def pinv_from_svd(res, shape):
     """:func:`pinv` of a matrix of ``shape`` whose SVD ``res`` is already
     known."""
-    tol = DEFAULT_RANK_TOL_SCALE * max(shape)
-    if res.s.size == 0 or res.s[0] == 0.0:
-        return np.zeros((shape[1], shape[0]), dtype=np.complex128)
-    keep = res.s > tol * res.s[0]
-    u, s, v = res.u[:, keep], res.s[keep], res.v[:, keep]
+    # the singular values descend, so those the rank counts lead
+    r = rank_from_singular_values(res.s, shape)
+    u, s, v = res.u[:, :r], res.s[:r], res.v[:, :r]
     return (v / s) @ u.conj().T
 
 
@@ -171,4 +166,7 @@ def mean_center_columns(x):
     operation is idempotent.
     """
     x = as_complex_matrix(x)
-    return x - x.mean(axis=0, keepdims=True)
+    # a mean of finite values can overflow; as_complex_matrix rejects that
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean(axis=0, keepdims=True)
+    return as_complex_matrix(centered, "centered matrix")

@@ -314,6 +314,8 @@ class TestSimulate:
                    "--out-dir", tmp_path) == EXIT_CONFIG
         assert run("simulate", "--jitter-grid", "abc",
                    "--out-dir", tmp_path) == EXIT_CONFIG
+        assert run("simulate", "--jitter-grid", "0:x:10",
+                   "--out-dir", tmp_path) == EXIT_CONFIG
 
 
 class TestTransformAndImpute:
@@ -326,6 +328,14 @@ class TestTransformAndImpute:
         _, _, original = dataio.read_chromatograms(chrom)
         _, _, recovered = dataio.read_chromatograms(back)
         assert np.max(np.abs(original - recovered)) < 1e-9
+
+    def test_inverse_that_is_not_real_warns_once(self, tmp_path, capsys):
+        spectrum = tmp_path / "spec.csv"
+        # k0_im = 1 puts 1/4 in the imaginary part of every sample of the first row
+        dataio.write_complex_matrix(spectrum, ["s0", "s1"],
+                                    np.array([[1 + 1j, 2, 0, 2], [4, 0, 0, 0]]))
+        assert run("transform", spectrum, "--inverse", "--out", tmp_path / "back.csv") == EXIT_OK
+        assert capsys.readouterr().err == "warning: discarding imaginary parts up to 0.25\n"
 
     def test_impute_fills_zeros(self, tmp_path, capsys):
         ids = [f"s{i}" for i in range(6)]
@@ -527,6 +537,9 @@ EXIT_TABLE = [
      EXIT_CONFIG, "n_peaks = 0 needs noise_sd"),
     ("bad jitter grid", lambda c, m, t: ("simulate", "--jitter-grid", "5", "--out-dir", t),
      EXIT_CONFIG, "--jitter-grid"),
+    ("interaction without a colon", lambda c, m, t: (
+        "analyze", c, m, "--interactions", "group", "--permutations", "9"),
+     EXIT_CONFIG, "--interactions expects A:B, got 'group'"),
     ("unknown interaction factor", lambda c, m, t: (
         "analyze", c, m, "--interactions", "group:nope", "--permutations", "9"),
      EXIT_CONFIG, "unknown factor"),
@@ -829,6 +842,14 @@ def _non_finite(path):
 @example(case=_fuzz_case(["a", "b"], ["xy", "pqr"],
                          lambda i, j: 1e307 * (1 + 0.01 * ((7 * i + j) % 11)),
                          "--domain=time"))
+# the column mean of two samples near -1.8e308 overflows in --center
+@example(case=(["a", "b", "é"], [["x", "x", "x"]] * 11 + [["y", "y", "y"]],
+               [["0.0"] * 6] * 10 + [["0.0", "-3.49272054168576e+293", *["0.0"] * 4],
+                                     ["0.0", "-1.7976931348623123e+308", *["0.0"] * 4]],
+               ["--domain=time", "--alpha=0.05", "--center"]))
+# a level effect of a table near 1.7e308 overflows in the nominal fit
+@example(case=_fuzz_case(["a", "b"], ["xy", "pqr"],
+                         lambda i, j: 1.7e308 if i % 3 == 0 else -1.7e308, "--domain=time"))
 def test_cli_fuzz_exits_cleanly(case):
     """Any metadata, chromatograms and analyze flags end in a documented exit
     code, with no traceback, no output on failure and no nan or inf on success."""

@@ -199,9 +199,6 @@ class TestPreparedDesign:
         expected = pinv(dm.matrix)
         assert (dm.pinv.dtype, dm.pinv.shape) == (expected.dtype, expected.shape)
         assert dm.pinv.tobytes() == expected.tobytes()
-        assert [r.tolist() for r in dm.cell_rows] == [
-            np.flatnonzero(dm.cell_ids == c).tolist()
-            for c in range(int(dm.cell_ids.max()) + 1)]
 
     @pytest.mark.parametrize("make_spec", [
         lambda: two_by_two(reps=3)[0], _unbalanced_with_interaction, _rank_deficient,

@@ -284,6 +284,21 @@ class TestPermutationTest:
             else:
                 permutation_test(x, one_factor(4), n_permutations=5)
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_table_whose_squares_round_to_zero_reports_underflow(self, masked):
+        # at 2**-900 every square, and with them the residual, rounds to zero
+        x = 2.0 ** -900 * np.random.default_rng(1).uniform(1.0, 2.0, size=(8, 40))
+        x[0, 0] = 0.0
+        with pytest.raises(NonFiniteResult, match="underflow"):
+            if masked:
+                pcmr_permutation_test(x, x == 0.0, one_factor(4), n_permutations=5)
+            else:
+                permutation_test(x, one_factor(4), n_permutations=5)
+
+    def test_all_zero_table_has_a_zero_residual(self):
+        with pytest.raises(ZeroResidual, match="rounds to zero"):
+            permutation_test(np.zeros((8, 3)), one_factor(4), n_permutations=5)
+
     def test_determinism(self):
         rng = np.random.default_rng(8)
         dm = one_factor(4)
@@ -367,11 +382,11 @@ class TestPermutationTest:
         if masked:
             mask = rng.random(size=x.shape) < 0.3
             mask[:, 7] = True  # a variable observed nowhere
-            mask[dm.cell_rows[0], 5] = True  # a cell with nothing observed
+            mask[dm.cell_ids == 0, 5] = True  # a cell with nothing observed
         perms = permute_rows(10, 200, seed=6)
         ss, resid, total = _cell_scorer(x, mask, dm)(perms)
         for p, row, r, tot in zip(perms, ss, resid, total):
-            y = x[p] if mask is None else _impute(x[p], mask[p], dm.cell_rows,
+            y = x[p] if mask is None else _impute(x[p], mask[p], dm.cell_ids,
                                                    _grand_means(x, mask))
             dec = fit(y, dm)
             # the refit window of the engine rests on an error of order eps * total

@@ -257,7 +257,7 @@ def csv_only(path, paired=False):
 def pooled(path, paired=False, block=16):
     """The outcome with every table spread over the pool in ``block``-byte ranges."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dataio, "_POOL_BYTES", 0)
+        mp.setattr(dataio, "_POOL_BLOCKS", 0)
         mp.setattr(dataio, "_BLOCK_BYTES", block)
         return table_outcome(path, paired)
 
@@ -349,7 +349,7 @@ QUOTED_IDS = ["a,b", 'say "x"', "c\rd", "e\nf", " lead", "é", "plain", "", "g,h
 def written(tmp_path, name, write, pool):
     p = tmp_path / name
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dataio, "_POOL_BYTES", 0 if pool else 1 << 62)
+        mp.setattr(dataio, "_POOL_BLOCKS", 0 if pool else 1 << 62)
         mp.setattr(dataio, "_BLOCK_BYTES", 256)
         write(p)
     return p.read_bytes()
@@ -404,7 +404,7 @@ class TestPoolFallback:
 
     @pytest.fixture()
     def forced(self, monkeypatch):
-        monkeypatch.setattr(dataio, "_POOL_BYTES", 0)
+        monkeypatch.setattr(dataio, "_POOL_BLOCKS", 0)
         monkeypatch.setattr(dataio, "_BLOCK_BYTES", 4096)
         return monkeypatch
 
@@ -450,7 +450,7 @@ class TestPoolFallback:
 class TestWorkersJoined:
     @pytest.fixture()
     def started(self, monkeypatch):
-        monkeypatch.setattr(dataio, "_POOL_BYTES", 0)
+        monkeypatch.setattr(dataio, "_POOL_BLOCKS", 0)
         monkeypatch.setattr(dataio, "_BLOCK_BYTES", 4096)
         pools = []
         fork_pool = dataio._fork_pool

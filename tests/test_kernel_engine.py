@@ -123,7 +123,7 @@ def test_masked_scorer_equals_refit_oracle(kind, data):
         if numerical_rank(dm.matrix) >= dm.n_samples:
             return  # saturated: no residual to test against
         if data.draw(st.booleans()):  # a cell with nothing observed in a column
-            rows = dm.cell_rows[data.draw(st.integers(0, len(dm.cell_rows) - 1))]
+            rows = dm.cell_ids == data.draw(st.integers(0, int(dm.cell_ids.max())))
             mask[rows, data.draw(st.integers(0, x.shape[1] - 1))] = True
         try:
             expected = loop_permutation_test(x, dm, n_permutations=n_perm, seed=seed,
@@ -293,7 +293,7 @@ def _hats_through_n_by_n(dm):
     """``Ind^T (A^T A) Ind`` of every term's ``A = D_t pinv(D)_t``, then of the
     fitted part's ``A = D pinv(D)``, for the N x C cell indicator ``Ind``."""
     d, spans, proj = dm.matrix, dm.column_spans, dm.pinv.real
-    ind = np.zeros((dm.n_samples, len(dm.cell_rows)))
+    ind = np.zeros((dm.n_samples, int(dm.cell_ids.max()) + 1))
     ind[np.arange(dm.n_samples), dm.cell_ids] = 1.0
     blocks = [d[:, spans[t]] @ proj[spans[t]] for t in dm.terms] + [d @ proj]
     return np.stack([ind.T @ (a.T @ a) @ ind for a in blocks])
@@ -304,8 +304,8 @@ def _assert_cell_hats_equal_the_n_by_n_formula(spec):
         warnings.simplefilter("ignore")
         dm = encode(spec)
     got, expected = glm._cell_hats(dm), _hats_through_n_by_n(dm)
-    assert got.shape == expected.shape == (len(dm.terms) + 1, len(dm.cell_rows),
-                                           len(dm.cell_rows))
+    n_cells = int(dm.cell_ids.max()) + 1
+    assert got.shape == expected.shape == (len(dm.terms) + 1, n_cells, n_cells)
     err = np.abs(got - expected).max(axis=(1, 2))
     assert np.all(err <= 1e-12 * np.abs(expected).max(axis=(1, 2)))
 

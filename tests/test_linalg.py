@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from fftasca.errors import NonFiniteResult
 from fftasca.linalg import (
     as_complex_matrix,
     hermitian,
     mean_center_columns,
     pinv,
+    pinv_from_svd,
     real_matmul,
     ssq,
     svd,
@@ -131,6 +133,13 @@ class TestPinv:
         assert np.linalg.norm((a @ p).conj().T - a @ p) < 1e-9
         assert np.linalg.norm((p @ a).conj().T - p @ a) < 1e-9
 
+    @pytest.mark.parametrize("shape", [(3, 5), (4, 2)])
+    def test_zero_matrix_gives_complex_zeros_of_the_transposed_shape(self, shape):
+        zero = np.zeros(shape)
+        for p in (pinv(zero), pinv_from_svd(svd(zero), shape)):
+            assert (p.dtype, p.shape) == (np.complex128, shape[::-1])
+            assert not p.any()
+
 
 class TestArithmetic:
     def test_non_finite_rejected(self):
@@ -197,3 +206,9 @@ class TestMeanCenter:
         x = random_complex(rng, 8, 6)
         once = mean_center_columns(x)
         assert np.allclose(mean_center_columns(once), once, atol=1e-12)
+
+    def test_overflowing_mean_is_non_finite(self):
+        # the column sum passes -1.8e308
+        x = np.array([[0.0], [-3.49272054168576e293], [-1.7976931348623123e308]])
+        with pytest.raises(NonFiniteResult):
+            mean_center_columns(x)
