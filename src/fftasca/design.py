@@ -125,6 +125,11 @@ class DesignSpec:
         return self.factors[0].n_samples
 
     @functools.cached_property
+    def cells(self):
+        """:class:`DistinctRows` of the samples' cells in the full factor cross."""
+        return DistinctRows.of(np.array([f.labels for f in self.factors]).T)
+
+    @functools.cached_property
     def term_factors(self):
         """Factor indices of each model term, in column order: ``(k,)`` for
         the main effect of factor ``k``, ``(i, j)`` for an interaction."""
@@ -198,8 +203,8 @@ class DesignMatrix:
     ``column_spans`` maps each term name (``"mean"``, a factor name, or
     ``"a:b"`` for an interaction) to its contiguous column range in
     ``matrix``; ``dof`` holds each term's degrees of freedom.  ``cell_ids``
-    assigns every sample the index of its cell in the full factor cross,
-    which drives both the balance check and cell-mean imputation.
+    assigns every sample the index of its cell in the full factor cross
+    (the ``inverse`` of ``spec.cells``), which drives cell-mean imputation.
     """
 
     matrix: np.ndarray
@@ -275,9 +280,6 @@ def encode(spec):
         spans[term] = slice(start, start + cols.shape[1])
         start += cols.shape[1]
 
-    level_matrix = np.array([f.labels for f in spec.factors]).T
-    _, cell_ids = np.unique(level_matrix, axis=0, return_inverse=True)
-
     if not is_balanced(spec):
         warnings.warn(
             "design is unbalanced; effect sums of squares will not partition "
@@ -290,15 +292,14 @@ def encode(spec):
         matrix=np.hstack(blocks),
         column_spans=spans,
         dof={t: span.stop - span.start for t, span in spans.items()},
-        cell_ids=cell_ids.astype(np.intp),
+        cell_ids=spec.cells.inverse,
         spec=spec,
     )
 
 
 def is_balanced(spec):
     """True iff every cell of the full factor cross has the same count."""
-    level_matrix = np.array([f.labels for f in spec.factors]).T
-    _, counts = np.unique(level_matrix, axis=0, return_counts=True)
+    counts = spec.cells.counts
     # every combination that occurs must occur equally often, and the full
     # cross must be present
     n_cells_full = math.prod(len(f.observed_levels()) for f in spec.factors)

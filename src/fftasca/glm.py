@@ -59,7 +59,7 @@ from .errors import (
     UnknownTerm,
     ZeroResidual,
 )
-from .linalg import as_complex_matrix, real_matmul, ssq
+from .linalg import as_complex_matrix, ssq
 
 __all__ = [
     "GlmDecomposition",
@@ -78,7 +78,10 @@ F_TIE_REL = 1e-12
 
 # relative error, against the total, allowed for scored sums of squares; a
 # permutation whose margin to the nominal F is within reach of that error
-# is re-decided by a direct refit
+# is re-decided by a direct refit.  It stays apart from F_TIE_REL, which
+# compares two direct fits and decides which F tie, so widening that moves
+# p-values; the scorer's error (its kernel factor, its cell sums) is larger,
+# and widening this window costs refits, never counts
 KERNEL_TIE_REL = 1e-9
 
 # bytes of per-chunk working set of the scorer; larger chunks raise
@@ -140,12 +143,12 @@ def fit(x, dmatrix):
     x = as_complex_matrix(x)
     _check_design(x, dmatrix, stacklevel=2)
     d = dmatrix.matrix
-    theta = real_matmul(dmatrix.pinv, x)
+    theta = dmatrix.pinv @ x
     effects = {}
     for term in dmatrix.terms:
         span = dmatrix.column_spans[term]
-        effects[term] = real_matmul(d[:, span], theta[span])
-    residuals = x - real_matmul(d, theta)
+        effects[term] = d[:, span] @ theta[span]
+    residuals = x - d @ theta
     return GlmDecomposition(
         theta_hat=theta,
         effects=effects,
@@ -401,7 +404,7 @@ def _permutation_engine(x, dmatrix, n_permutations, seed, mask):
         grand = _grand_means(x, mask)
 
     def stats(xv):
-        theta = real_matmul(proj, xv)
+        theta = proj @ xv
         total = _total_ssq(xv)
         fitted = _gram_ssq(theta, gram)
         resid = max(total - fitted, 0.0)

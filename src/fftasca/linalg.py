@@ -5,15 +5,7 @@ All higher-level machinery operates on ``numpy`` arrays of dtype
 This module pins down the handful of operations whose exact semantics the
 rest of the package relies on: the Hermitian transpose, the real-valued sum
 of squares computed through the trace of ``X X^H``, a thin SVD with a fixed
-orientation, a pseudoinverse with an explicit singular-value cutoff, and
-the product of a real-valued matrix with a complex one.
-
-Real-valued operands use real products.  A design, its pseudoinverse and
-the residuals of real data are real-valued, and their products with complex
-matrices run as one real matrix product on the interleaved real and
-imaginary parts, not as a complex one: OpenBLAS threads a complex product
-even at small sizes, where the real product of the same shape stays on one
-thread and wakes no worker.
+orientation, and a pseudoinverse with an explicit singular-value cutoff.
 
 Every function is pure; inputs are never mutated.
 """
@@ -31,7 +23,6 @@ __all__ = [
     "ssq",
     "svd",
     "pinv",
-    "real_matmul",
     "mean_center_columns",
 ]
 
@@ -145,18 +136,6 @@ def pinv_from_svd(res, shape):
     r = rank_from_singular_values(res.s, shape)
     u, s, v = res.u[:, :r], res.s[:r], res.v[:, :r]
     return (v / s) @ u.conj().T
-
-
-def real_matmul(a, x):
-    """``a @ x`` for a real-valued 2-D ``a`` and a 2-D ``x``, as complex128.
-
-    Only the real part of ``a`` is read.  The product is one real matrix
-    product of ``a`` with the interleaved float64 view of ``x``, whose
-    real and imaginary columns it maps alike, so a real-valued ``x`` gives
-    an imaginary part that is exactly zero.
-    """
-    parts = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
-    return (np.ascontiguousarray(np.real(a), dtype=np.float64) @ parts).view(np.complex128)
 
 
 def mean_center_columns(x):

@@ -36,7 +36,7 @@ import numpy as np
 
 from .design import DistinctRows
 from .errors import DimensionMismatch, RankExceeded
-from .linalg import as_complex_matrix, rank_from_singular_values, real_matmul, svd
+from .linalg import as_complex_matrix, rank_from_singular_values, svd
 from .spectral import inverse_rows, reversed_conjugate
 
 __all__ = [
@@ -154,14 +154,11 @@ def sca_fit(effect, residuals, n_components=None, term="", cap=None, rows=None):
         loadings[:, r] *= phase
         level_scores[:, r] *= phase
     scores = level_scores[rows.inverse]
-    # time, mag and pCMR residuals are real-valued, and so take a real product
-    projection = (residuals @ loadings if residuals.imag.any()
-                  else real_matmul(residuals, loadings))
     return ScaModel(
         term=term,
         n_components=n_components,
         scores=scores,
-        projected_scores=scores + projection,
+        projected_scores=scores + residuals @ loadings,
         loadings=loadings,
         explained_ssq=(res.s[:n_components] ** 2).copy(),
     )

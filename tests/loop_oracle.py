@@ -15,7 +15,7 @@ import numpy as np
 from fftasca.design import MEAN_TERM, permute_rows
 from fftasca.errors import RankWarning, ZeroResidual
 from fftasca.glm import AnovaRow, AnovaTable, impute_cell_means
-from fftasca.linalg import as_complex_matrix, numerical_rank, pinv, real_matmul, ssq
+from fftasca.linalg import as_complex_matrix, numerical_rank, pinv, ssq
 
 F_TIE_REL = 1e-12
 
@@ -71,9 +71,9 @@ def loop_permutation_test(x, dmatrix, n_permutations=1000, seed=0, mask=None):
         grand = _grand_means(x, mask)
 
     def stats(xv):
-        # the engine's theta, bit for bit: its real product can differ from
-        # a complex one in the last bit
-        theta = real_matmul(proj, xv)
+        # the engine's product, so its theta bit for bit: another order of
+        # the same sums can differ in the last bit
+        theta = proj @ xv
         total = ssq(xv)
         fitted = _gram_ssq(theta, gram_full)
         resid = max(total - fitted, 0.0)

@@ -199,6 +199,10 @@ class TestPreparedDesign:
         expected = pinv(dm.matrix)
         assert (dm.pinv.dtype, dm.pinv.shape) == (expected.dtype, expected.shape)
         assert dm.pinv.tobytes() == expected.tobytes()
+        levels = np.array([f.labels for f in dm.spec.factors]).T
+        _, cells = np.unique(levels, axis=0, return_inverse=True)
+        assert dm.cell_ids.dtype == np.intp
+        assert dm.cell_ids.tolist() == cells.reshape(-1).tolist()
 
     @pytest.mark.parametrize("make_spec", [
         lambda: two_by_two(reps=3)[0], _unbalanced_with_interaction, _rank_deficient,
@@ -228,6 +232,15 @@ class TestIsBalanced:
     def test_single_factor_unequal_levels(self):
         f = Factor.from_labels("g", [0, 0, 0, 1, 1])
         assert not is_balanced(DesignSpec(factors=(f,)))
+
+    def test_missing_cell_of_the_full_cross(self):
+        # 3 of the 4 cells of the 2 x 2 cross, two samples each
+        a = Factor.from_labels("a", [0, 0, 0, 0, 1, 1])
+        b = Factor.from_labels("b", [0, 0, 1, 1, 0, 0])
+        spec = DesignSpec(factors=(a, b))
+        assert not is_balanced(spec)
+        with pytest.warns(UnbalancedDesignWarning):
+            encode(spec)
 
 
 class TestPermuteRows:

@@ -580,11 +580,13 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(case=random_designs())
     def test_real_valued_data_fit_real_valued_parts(self, case):
-        # the SCA projection takes a real product when the residuals are real-valued
+        # a complex product of real-valued operands has an exactly zero
+        # imaginary part, so real data fit real parts while the pinv is real
         dm, x = case
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             dec = fit(x.real.astype(complex), dm)
+        assert not dm.pinv.imag.any()
         assert not dec.residuals.imag.any()
         assert not any(e.imag.any() for e in dec.effects.values())
         assert not dec.grand_mean_row.imag.any()

@@ -8,7 +8,6 @@ from fftasca.linalg import (
     mean_center_columns,
     pinv,
     pinv_from_svd,
-    real_matmul,
     ssq,
     svd,
 )
@@ -147,47 +146,6 @@ class TestArithmetic:
             as_complex_matrix(np.array([[np.nan, 1.0]]))
         with pytest.raises(ValueError):
             as_complex_matrix(np.array([[np.inf + 0j, 1.0]]))
-
-
-class TestRealMatmul:
-    """``real_matmul`` against the complex product it replaces."""
-
-    @staticmethod
-    def assert_matches_complex_product(a, x):
-        got = real_matmul(a, x)
-        want = a.astype(complex) @ x
-        assert got.dtype == np.complex128 and got.shape == want.shape
-        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_random_shapes(self, seed):
-        rng = np.random.default_rng(seed)
-        k, m, n = rng.integers(1, 120, size=3)
-        self.assert_matches_complex_product(rng.normal(size=(k, m)), random_complex(rng, m, n))
-
-    def test_non_contiguous_slices(self):
-        rng = np.random.default_rng(11)
-        a, x = rng.normal(size=(12, 40)), random_complex(rng, 20, 30)
-        self.assert_matches_complex_product(a[::2, 1::2], x[:, ::3])
-        self.assert_matches_complex_product(a[:, :20].T, x.T[:, :12].T)
-        self.assert_matches_complex_product(a[:, 3:23], np.asfortranarray(x))
-
-    @pytest.mark.parametrize("k, m, n", [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0)])
-    def test_empty_shapes(self, k, m, n):
-        rng = np.random.default_rng(12)
-        got = real_matmul(rng.normal(size=(k, m)), random_complex(rng, m, n))
-        assert got.dtype == np.complex128
-        assert np.array_equal(got, np.zeros((k, n), dtype=complex))
-
-    def test_reads_the_real_part_of_a_complex_dtype(self):
-        rng = np.random.default_rng(13)
-        a, x = rng.normal(size=(5, 7)), random_complex(rng, 7, 3)
-        assert np.array_equal(real_matmul(a.astype(complex), x), real_matmul(a, x))
-
-    def test_real_valued_x_keeps_a_zero_imaginary_part(self):
-        rng = np.random.default_rng(14)
-        got = real_matmul(rng.normal(size=(6, 9)), rng.normal(size=(9, 4)).astype(complex))
-        assert not got.imag.any()
 
 
 class TestMeanCenter:
