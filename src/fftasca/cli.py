@@ -387,11 +387,11 @@ def _cmd_transform(args):
 
 
 def _cmd_impute(args):
-    x, spec, ids = dataio.load_dataset(args.peaks, args.metadata)
-    values, mask = zeros_to_missing(x.real)
-    dmatrix = encode(spec)
-    imputed = impute_cell_means(values.astype(np.complex128), mask, dmatrix)
-    dataio.write_chromatograms(args.out, ids, imputed.real)
+    ids, labels, x = dataio.read_chromatograms(args.peaks)
+    spec = dataio.read_design_spec(args.metadata, ids)
+    values, mask = zeros_to_missing(x)
+    imputed = impute_cell_means(values, mask, encode(spec))
+    dataio.write_chromatograms(args.out, ids, imputed.real, axis_labels=labels)
     sys.stdout.write(f"imputed {int(mask.sum())} of {mask.size} entries\n")
     return EXIT_OK
 

@@ -43,8 +43,9 @@ class ZeroResidual(NumericError):
 
 
 class NonFiniteResult(NumericError, ValueError):
-    """A matrix, sum of squares, spectrum or imputed value is inf or nan,
-    or a table's total sum of squares lies below the normal range.
+    """A matrix, sum of squares, spectrum or imputed value, a plotted value
+    or a value to be written to a table of floats is inf or nan, or a
+    table's total sum of squares lies below the normal range.
 
     Input files hold finite values only, so inside the package a non-finite
     value is an overflow.  Also a ``ValueError``, which non-finite

@@ -52,6 +52,7 @@ import numpy as np
 
 from .design import MEAN_TERM, DistinctRows, _test_permutations
 from .errors import (
+    ConfigInvalid,
     DimensionMismatch,
     EmptyCellWarning,
     NonFiniteResult,
@@ -390,7 +391,7 @@ def _permutation_engine(x, dmatrix, n_permutations, seed, mask):
     _check_design(x, dmatrix, stacklevel=3)
     n = x.shape[0]
     if n_permutations < 1:
-        raise ValueError("need at least one permutation")
+        raise ConfigInvalid(f"need at least one permutation, got {n_permutations}")
 
     nu1 = np.array([dmatrix.dof[t] for t in dmatrix.terms], dtype=float)
     nu2 = n - dmatrix.rank

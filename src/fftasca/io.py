@@ -23,7 +23,7 @@ from io import StringIO
 import numpy as np
 
 from .design import DesignSpec, Factor
-from .errors import IdMismatch, ParseError, RaggedRows
+from .errors import IdMismatch, NonFiniteResult, ParseError, RaggedRows
 from .glm import AnovaRow, AnovaTable
 
 __all__ = [
@@ -287,8 +287,11 @@ def _write_float_rows(path, header, values, ids=None, rows=None):
     ``values`` once.  Each row of ``values`` is formatted once, in blocks
     of about ``_BLOCK_BYTES`` of text, across the CPUs when there are more
     than ``_POOL_BLOCKS`` blocks; without ``rows`` the blocks stream to the file.
+    A NaN or inf, which the readers reject, raises NonFiniteResult first.
     """
     values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise NonFiniteResult(f"{path}: a value to write is not finite")
     width = values.shape[1]
     fmt = ",".join(["%.17g"] * width) + "\r\n"
     step = max(1, _BLOCK_BYTES // (_VALUE_BYTES * width + 2))

@@ -7,7 +7,7 @@ marker group each, and every named series lands in the legend.
 
 import numpy as np
 
-from .errors import EmptySeries
+from .errors import EmptySeries, NonFiniteResult
 
 __all__ = ["emit_svg"]
 
@@ -33,6 +33,14 @@ def _text(value):
     return value.translate(_XML_TEXT)
 
 
+def _label(x, y, size, text, anchor=None, extra=""):
+    """One ``<text>`` element; ``text`` is already escaped, ``extra`` holds
+    further attributes, each with its leading space."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{text}</text>')
+
+
 def _normalize(series, kind):
     """Coerce each entry to an (x, y) float pair of equal length."""
     out = {}
@@ -45,6 +53,8 @@ def _normalize(series, kind):
             x = np.arange(y.size, dtype=float)
         if x.size == 0 or y.size == 0 or x.size != y.size:
             raise EmptySeries(f"series '{name}' is empty or mismatched")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise NonFiniteResult(f"series '{name}' holds a non-finite value")
         out[str(name)] = (x, y)
     if not out:
         raise EmptySeries(f"no series given for {kind} plot")
@@ -64,7 +74,7 @@ def emit_svg(series, kind="line", title="", x_label="", y_label=""):
 
     ``series`` maps a name to either a 1-D array of y values (x becomes
     0..n-1) or an (x, y) pair of equal-length arrays.  ``kind`` is
-    ``"line"`` or ``"scatter"``.
+    ``"line"`` or ``"scatter"``.  A NaN or inf raises NonFiniteResult.
     """
     if kind not in ("line", "scatter"):
         raise ValueError(f"unknown plot kind '{kind}'")
@@ -86,38 +96,17 @@ def emit_svg(series, kind="line", title="", x_label="", y_label=""):
         f'y2="{HEIGHT - MARGIN}" stroke="black" stroke-width="1"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{title}</text>'
-        )
+        parts.append(_label(WIDTH // 2, 24, 15, title, "middle"))
     if x_label:
-        parts.append(
-            f'<text x="{WIDTH // 2}" y="{HEIGHT - 14}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{x_label}</text>'
-        )
+        parts.append(_label(WIDTH // 2, HEIGHT - 14, 12, x_label, "middle"))
     if y_label:
-        parts.append(
-            f'<text x="16" y="{HEIGHT // 2}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {HEIGHT // 2})">{y_label}</text>'
-        )
+        parts.append(_label(16, HEIGHT // 2, 12, y_label, "middle",
+                            f' transform="rotate(-90 16 {HEIGHT // 2})"'))
     # axis extent labels
-    parts.append(
-        f'<text x="{MARGIN}" y="{HEIGHT - MARGIN + 16}" font-family="sans-serif" '
-        f'font-size="10">{_fmt(float(xs.min()))}</text>'
-    )
-    parts.append(
-        f'<text x="{WIDTH - MARGIN}" y="{HEIGHT - MARGIN + 16}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="10">{_fmt(float(xs.max()))}</text>'
-    )
-    parts.append(
-        f'<text x="{MARGIN - 4}" y="{HEIGHT - MARGIN}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="10">{_fmt(float(ys.min()))}</text>'
-    )
-    parts.append(
-        f'<text x="{MARGIN - 4}" y="{MARGIN + 4}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="10">{_fmt(float(ys.max()))}</text>'
-    )
+    parts.append(_label(MARGIN, HEIGHT - MARGIN + 16, 10, _fmt(float(xs.min()))))
+    parts.append(_label(WIDTH - MARGIN, HEIGHT - MARGIN + 16, 10, _fmt(float(xs.max())), "end"))
+    parts.append(_label(MARGIN - 4, HEIGHT - MARGIN, 10, _fmt(float(ys.min())), "end"))
+    parts.append(_label(MARGIN - 4, MARGIN + 4, 10, _fmt(float(ys.max())), "end"))
 
     for idx, (name, (x, y)) in enumerate(data.items()):
         name = _text(name)
@@ -136,14 +125,9 @@ def emit_svg(series, kind="line", title="", x_label="", y_label=""):
                 f"{marks}</g>"
             )
         ly = MARGIN + 16 * idx
-        parts.append(
-            f'<rect x="{WIDTH - MARGIN - 132}" y="{ly - 9}" width="10" height="10" '
-            f'fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{WIDTH - MARGIN - 118}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{name}</text>'
-        )
+        parts.append(f'<rect x="{WIDTH - MARGIN - 132}" y="{ly - 9}" width="10" height="10" '
+                     f'fill="{color}"/>')
+        parts.append(_label(WIDTH - MARGIN - 118, ly, 11, name))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

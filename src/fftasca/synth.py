@@ -290,6 +290,12 @@ def _trial_seed(master_seed, jitter, trial):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _group_z(table):
+    """z of the table's group p, with p = 1 taken as B/(B+1)."""
+    n = table.n_permutations
+    return p_to_z(min(table.row("group").p_value, n / (n + 1)))
+
+
 def jitter_experiment(config, jitter_levels, trials, n_permutations=200, seed=0):
     """Drift-sensitivity comparison of time- versus frequency-domain tests.
 
@@ -303,7 +309,9 @@ def jitter_experiment(config, jitter_levels, trials, n_permutations=200, seed=0)
     permutation seeds derive only from (seed, jitter, trial), so layouts
     are reproducible and trials are independent.
 
-    Returns a list of JitterTrial rows in (jitter, trial) order.
+    Returns a list of JitterTrial rows in (jitter, trial) order.  Every z
+    is finite: a p of 1 counts as B/(B+1), the largest p below 1 that B
+    permutations can give.
     """
     results = []
     dmatrix = None  # every trial has the same design
@@ -324,7 +332,7 @@ def jitter_experiment(config, jitter_levels, trials, n_permutations=200, seed=0)
             results.append(JitterTrial(
                 jitter=int(jitter),
                 trial=trial,
-                z_time=p_to_z(table_time.row("group").p_value),
-                z_freq=p_to_z(table_freq.row("group").p_value),
+                z_time=_group_z(table_time),
+                z_freq=_group_z(table_freq),
             ))
     return results

@@ -22,7 +22,7 @@ from fftasca import io as dataio
 from fftasca.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, run_pipeline
 from fftasca.design import MAX_PERMUTATIONS, DesignSpec, encode
 from fftasca.glm import pcmr_permutation_test, permutation_test, zeros_to_missing
-from fftasca.synth import SynthConfig, generate
+from fftasca.synth import SynthConfig, generate, p_to_z
 
 
 @pytest.fixture()
@@ -123,6 +123,19 @@ class TestAnalyze:
         for name in ("anova.csv", "summary.txt", "scores_group.svg",
                      "loadings_time_group.svg"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_without_out_dir_prints_the_table_and_writes_nothing(
+            self, fixture_files, tmp_path, capsys, monkeypatch):
+        chrom, meta = fixture_files
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        argv = ("analyze", chrom, meta, "--permutations", "50", "--seed", "3")
+        assert run(*argv) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert sorted(tmp_path.rglob("*")) == before
+        assert run(*argv, "--out-dir", tmp_path / "out", "--no-timestamp") == EXIT_OK
+        assert capsys.readouterr().out == printed
+        assert (tmp_path / "out" / "anova.txt").read_text(encoding="utf-8") == printed
 
     def test_mag_domain_runs(self, fixture_files, tmp_path):
         chrom, meta = fixture_files
@@ -283,6 +296,20 @@ class TestSimulate:
         assert len(lines) == 1 + 4  # 2 levels x 2 trials
         assert (out / "jitter_z.svg").read_text(encoding="utf-8").startswith("<svg")
 
+    def test_p_of_one_gives_the_finite_z_of_the_next_lattice_p(self, tmp_path):
+        # seed 33's j30 time test counts all 200 permutations at or above its F,
+        # so its p is 1, which is taken as 200/201
+        out = tmp_path / "sim"
+        assert run("simulate", "--jitter-grid", "0:10:50", "--trials", "1",
+                   "--permutations", "200", "--seed", "33",
+                   "--out-dir", out, "--no-timestamp") == EXIT_OK
+        with open(out / "jitter_z.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        z = {(int(r["jitter"]), d): float(r[f"z_{d}"]) for r in rows for d in ("time", "freq")}
+        assert len(z) == 12 and all(math.isfinite(v) for v in z.values())
+        assert z[30, "time"] == p_to_z(200 / 201)
+        assert "nan" not in (out / "jitter_z.svg").read_text(encoding="utf-8")
+
     def test_dataset_out(self, tmp_path):
         out = tmp_path / "sim"
         prefix = tmp_path / "demo"
@@ -352,6 +379,18 @@ class TestTransformAndImpute:
         _, _, values = dataio.read_chromatograms(out)
         assert values[2, 0] == pytest.approx(3.0)
         assert "imputed 1 of 12" in capsys.readouterr().out
+
+
+    def test_impute_keeps_the_column_names(self, tmp_path):
+        chrom, meta = tmp_path / "peaks.csv", tmp_path / "meta.csv"
+        chrom.write_text("sample,pA,pB,pC\ns1,1,0,3\ns2,2,5,6\ns3,7,8,0\ns4,9,4,2\n",
+                         encoding="utf-8")
+        meta.write_text("sample,group\ns1,a\ns2,a\ns3,b\ns4,b\n", encoding="utf-8")
+        out = tmp_path / "imputed.csv"
+        assert run("impute", chrom, meta, "--out", out) == EXIT_OK
+        ids, labels, values = dataio.read_chromatograms(out)
+        assert ids == ("s1", "s2", "s3", "s4") and labels == ("pA", "pB", "pC")
+        assert values[0, 1] == 5.0 and values[2, 2] == 2.0
 
 
 class TestBoundaryErrors:
@@ -441,10 +480,12 @@ class TestBoundaryErrors:
 
     @pytest.mark.parametrize("command", ["analyze", "transform", "impute"])
     def test_non_finite_input_is_data_error(self, fixture_files, tmp_path, capsys, command):
-        ids, _, values = dataio.read_chromatograms(fixture_files[0])
-        values[1, 2] = np.nan
+        # the writers refuse nan, so the token goes into the file's text
+        lines = fixture_files[0].read_text(encoding="utf-8").split("\n")
+        cells = lines[2].split(",")
+        lines[2] = ",".join([*cells[:3], "nan", *cells[4:]])
         chrom = tmp_path / "nan.csv"
-        dataio.write_chromatograms(chrom, ids, values)
+        chrom.write_text("\n".join(lines), encoding="utf-8")
         out = ("--out", tmp_path / "out.csv")
         argv = {"analyze": (fixture_files[1],), "transform": out,
                 "impute": (fixture_files[1], *out)}[command]

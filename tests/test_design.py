@@ -45,6 +45,10 @@ class TestEncode:
         assert dm.dof == {"mean": 1, "g": 1}
         assert list(dm.column_spans) == ["mean", "g"]
 
+    def test_design_without_factors_is_rejected(self):
+        with pytest.raises(DegenerateFactor, match="at least one factor"):
+            DesignSpec(factors=())
+
     def test_first_column_is_intercept(self):
         spec, _ = two_by_two()
         dm = encode(spec)
@@ -249,6 +253,11 @@ class TestPermuteRows:
             perms = permute_rows(n, 0, exhaustive=True)
             assert perms.shape == (math.factorial(n), n)
             assert [tuple(p) for p in perms] == list(itertools.permutations(range(n)))
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_no_rows_is_rejected(self, exhaustive):
+        with pytest.raises(DimensionMismatch, match="at least one row"):
+            permute_rows(0, 5, exhaustive=exhaustive)
 
     def test_deterministic_for_fixed_seed(self):
         p1 = permute_rows(10, 50, seed=123)

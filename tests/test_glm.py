@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fftasca import design, linalg
 from fftasca.design import DesignSpec, Factor, encode, permute_rows
 from fftasca.errors import (
+    ConfigInvalid,
     DimensionMismatch,
     EmptyCellWarning,
     NonFiniteResult,
@@ -295,6 +296,24 @@ class TestPermutationTest:
             else:
                 permutation_test(x, one_factor(4), n_permutations=5)
 
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_is_a_config_error(self, masked, count):
+        x = np.random.default_rng(2).normal(size=(6, 4))
+        with pytest.raises(ConfigInvalid, match="at least one permutation"):
+            if masked:
+                pcmr_permutation_test(x, x > 1.0, one_factor(3), n_permutations=count)
+            else:
+                permutation_test(x, one_factor(3), n_permutations=count)
+
+    def test_count_above_the_most_is_a_config_error(self):
+        # 13 rows have more than MAX_PERMUTATIONS + 1 permutations, so the count is drawn
+        x = np.random.default_rng(3).normal(size=(13, 4))
+        with pytest.warns(UnbalancedDesignWarning):
+            dm = encode(DesignSpec(factors=(Factor.from_labels("g", [0] * 6 + [1] * 7),)))
+        with pytest.raises(ConfigInvalid, match="permutation count must lie in"):
+            permutation_test(x, dm, n_permutations=design.MAX_PERMUTATIONS + 1)
+
     def test_all_zero_table_has_a_zero_residual(self):
         with pytest.raises(ZeroResidual, match="rounds to zero"):
             permutation_test(np.zeros((8, 3)), one_factor(4), n_permutations=5)
@@ -426,6 +445,11 @@ class TestZerosToMissing:
         _, mask = zeros_to_missing(x)
         assert np.array_equal(mask, [[True, False], [False, True]])
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_table_that_is_not_2d_is_rejected(self, shape):
+        with pytest.raises(DimensionMismatch, match="2-D peak table"):
+            zeros_to_missing(np.ones(shape))
+
     def test_density_counting(self):
         rng = np.random.default_rng(16)
         x = rng.uniform(1.0, 2.0, size=(20, 50))
@@ -510,6 +534,11 @@ class TestPcmr:
             imputed = impute_cell_means(values.astype(complex), mask, dm)
         assert imputed[0, 0].real == pytest.approx(3.0)  # mean of {2, 4}
 
+    def test_imputation_rows_must_match_the_design(self):
+        x = np.ones((5, 3))
+        with pytest.raises(DimensionMismatch, match="do not match the design"):
+            impute_cell_means(x, x == 0.0, one_factor(3))
+
     def test_mask_shape_must_match(self):
         dm = one_factor(2)
         x = np.zeros((4, 3), dtype=complex)
@@ -532,6 +561,12 @@ class TestSerialization:
         mean_cells = lines[1].split(",")
         assert mean_cells[0] == "Mean"
         assert mean_cells[5] == "" and mean_cells[6] == ""
+
+    def test_unknown_row_is_an_unknown_term(self):
+        x = np.random.default_rng(21).normal(size=(6, 4))
+        table = permutation_test(x, one_factor(3), n_permutations=19, seed=0)
+        with pytest.raises(UnknownTerm, match="'h'"):
+            table.row("h")
 
     def test_text_layout(self):
         rng = np.random.default_rng(20)

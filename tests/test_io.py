@@ -5,7 +5,7 @@ import pytest
 
 from fftasca import io as dataio
 from fftasca.design import encode
-from fftasca.errors import IdMismatch, ParseError, RaggedRows
+from fftasca.errors import IdMismatch, NonFiniteResult, ParseError, RaggedRows
 from fftasca.glm import AnovaRow, AnovaTable, permutation_test
 from fftasca.synth import SynthConfig, generate
 
@@ -134,6 +134,13 @@ class TestMetadataAndJoin:
         _, spec, ids = dataio.load_dataset(c, m)
         assert ids == ("s1", "s2", "s3")
         assert spec.factors[0].labels == (0, 0, 1)
+
+    def test_metadata_without_a_factor_column_is_a_parse_error(self, tmp_path):
+        m = tmp_path / "m.csv"
+        write(m, "sample\ns1\ns2\n")
+        with pytest.raises(ParseError, match="at least one factor") as info:
+            dataio.read_metadata(m)
+        assert info.value.line == 1
 
     def test_id_mismatch_names_offenders(self, tmp_path):
         c, m = tmp_path / "c.csv", tmp_path / "m.csv"
@@ -290,3 +297,20 @@ class TestRealMatrix:
         dataio.write_real_matrix_csv(levels, ["x", "y", "z", "w"], distinct, row_ids=ids,
                                      rows=index)
         assert levels.read_bytes() == full.read_bytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("rows", [None, [1, 0, 1]])
+    def test_non_finite_value_names_the_file_and_writes_nothing(self, tmp_path, bad, rows):
+        values = np.arange(6.0).reshape(2, 3)
+        values[1, 2] = bad
+        p = tmp_path / "scores.csv"
+        with pytest.raises(NonFiniteResult, match="scores.csv"):
+            dataio.write_real_matrix_csv(p, ["x", "y", "z"], values, rows=rows)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_chromatogram_is_not_written(self, tmp_path, bad):
+        p = tmp_path / "c.csv"
+        with pytest.raises(NonFiniteResult, match="c.csv"):
+            dataio.write_chromatograms(p, ["s1", "s2"], np.array([[1.0, bad], [2.0, 3.0]]))
+        assert not p.exists()

@@ -4,8 +4,9 @@
 through ``csv.writer`` and ``"{:.17g}"`` on the way out, every token
 through ``float`` on the way in.  The new paths must write the same bytes,
 accept and reject the same tokens, and raise the same errors at the same
-line, column and row.  The one intended difference: a non-finite value is
-now a ParseError at its cell.
+line, column and row.  The intended differences: a non-finite value is
+now a ParseError at its cell on the way in, and a NonFiniteResult on the
+way out, with nothing written.
 """
 
 import csv
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import io_oracle
 from fftasca import io as dataio
-from fftasca.errors import ParseError, RaggedRows
+from fftasca.errors import NonFiniteResult, ParseError, RaggedRows
 
 SETTINGS = settings(max_examples=75, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -51,6 +52,18 @@ def same_bytes(tmp_path, write_new, write_old):
     return new.read_bytes() == old.read_bytes()
 
 
+def same_bytes_or_refused(tmp_path, values, write_new, write_old):
+    """:func:`same_bytes` for finite ``values``; else the new writer raises
+    NonFiniteResult and leaves no file."""
+    if np.isfinite(values).all():
+        return same_bytes(tmp_path, write_new, write_old)
+    new = tmp_path / "new.csv"
+    new.unlink(missing_ok=True)
+    with pytest.raises(NonFiniteResult):
+        write_new(new)
+    return not new.exists()
+
+
 def bits(values):
     return np.ascontiguousarray(values).tobytes()
 
@@ -68,18 +81,18 @@ class TestWritersMatchOracle:
     @given(case=matrices(any_float))
     def test_chromatograms(self, tmp_path, case):
         ids, values = case
-        assert same_bytes(tmp_path,
-                          lambda p: dataio.write_chromatograms(p, ids, values),
-                          lambda p: io_oracle.write_chromatograms(p, ids, values))
+        assert same_bytes_or_refused(tmp_path, values,
+                                     lambda p: dataio.write_chromatograms(p, ids, values),
+                                     lambda p: io_oracle.write_chromatograms(p, ids, values))
 
     @SETTINGS
     @given(case=matrices(any_float), imag=st.lists(any_float, min_size=20, max_size=20))
     def test_complex_matrix(self, tmp_path, case, imag):
         ids, re = case
         values = complex_of(re, imag)
-        assert same_bytes(tmp_path,
-                          lambda p: dataio.write_complex_matrix(p, ids, values),
-                          lambda p: io_oracle.write_complex_matrix(p, ids, values))
+        assert same_bytes_or_refused(tmp_path, values,
+                                     lambda p: dataio.write_complex_matrix(p, ids, values),
+                                     lambda p: io_oracle.write_complex_matrix(p, ids, values))
 
     @SETTINGS
     @given(case=matrices(any_float), with_ids=st.booleans())
@@ -87,8 +100,8 @@ class TestWritersMatchOracle:
         ids, values = case
         names = [f"pc{j + 1}" for j in range(values.shape[1])]
         row_ids = ids if with_ids else None
-        assert same_bytes(
-            tmp_path,
+        assert same_bytes_or_refused(
+            tmp_path, values,
             lambda p: dataio.write_real_matrix_csv(p, names, values, row_ids=row_ids),
             lambda p: io_oracle.write_real_matrix_csv(p, names, values, row_ids=row_ids))
 

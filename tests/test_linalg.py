@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fftasca.errors import NonFiniteResult
+from fftasca.errors import DimensionMismatch, NonFiniteResult
 from fftasca.linalg import (
     as_complex_matrix,
     hermitian,
@@ -31,6 +31,13 @@ class TestHermitian:
         rng = np.random.default_rng(0)
         x = random_complex(rng, 3, 4)
         assert np.allclose(hermitian(hermitian(x)), x, atol=0)
+
+
+class TestAsComplexMatrix:
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+    def test_array_that_is_not_2d_is_rejected(self, shape):
+        with pytest.raises(DimensionMismatch, match="effect must be 2-D"):
+            as_complex_matrix(np.ones(shape), "effect")
 
 
 class TestSsq:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fftasca import plots
-from fftasca.errors import EmptySeries
+from fftasca.errors import EmptySeries, NonFiniteResult
 from fftasca.plots import emit_svg
 
 
@@ -73,3 +73,53 @@ class TestEmitSvg:
         svg = emit_svg({"s": np.arange(5.0)}, kind="line",
                        title="my title", x_label="xs", y_label="ys")
         assert "my title" in svg and "xs" in svg and "ys" in svg
+
+    def test_document_bytes_are_pinned(self):
+        # every element kind once: title, both axis labels, the four extents,
+        # two legend entries and markup to escape
+        svg = emit_svg({"a": (np.array([0.0, 2.0, 4.0]), np.array([1.0, -1.0, 0.5])),
+                        "b & c": (np.array([1.0]), np.array([3.0]))},
+                       kind="scatter", title="T", x_label="x <1>", y_label="y")
+        assert svg.split("\n") == [
+            '<svg xmlns="http://www.w3.org/2000/svg" width="720" height="440" '
+            'viewBox="0 0 720 440">',
+            '<rect width="720" height="440" fill="white"/>',
+            '<line x1="56" y1="384" x2="664" y2="384" stroke="black" stroke-width="1"/>',
+            '<line x1="56" y1="56" x2="56" y2="384" stroke="black" stroke-width="1"/>',
+            '<text x="360" y="24" text-anchor="middle" font-family="sans-serif" '
+            'font-size="15">T</text>',
+            '<text x="360" y="426" text-anchor="middle" font-family="sans-serif" '
+            'font-size="12">x &lt;1&gt;</text>',
+            '<text x="16" y="220" text-anchor="middle" font-family="sans-serif" '
+            'font-size="12" transform="rotate(-90 16 220)">y</text>',
+            '<text x="56" y="400" font-family="sans-serif" font-size="10">0</text>',
+            '<text x="664" y="400" text-anchor="end" font-family="sans-serif" '
+            'font-size="10">4</text>',
+            '<text x="52" y="384" text-anchor="end" font-family="sans-serif" '
+            'font-size="10">-1</text>',
+            '<text x="52" y="60" text-anchor="end" font-family="sans-serif" '
+            'font-size="10">3</text>',
+            '<g fill="#1f77b4" fill-opacity="0.85" data-series="a"><circle cx="56" cy="220" '
+            'r="3.5"/><circle cx="360" cy="384" r="3.5"/><circle cx="664" cy="261" r="3.5"/></g>',
+            '<rect x="532" y="47" width="10" height="10" fill="#1f77b4"/>',
+            '<text x="546" y="56" font-family="sans-serif" font-size="11">a</text>',
+            '<g fill="#d62728" fill-opacity="0.85" data-series="b &amp; c"><circle cx="208" '
+            'cy="56" r="3.5"/></g>',
+            '<rect x="532" y="63" width="10" height="10" fill="#d62728"/>',
+            '<text x="546" y="72" font-family="sans-serif" font-size="11">b &amp; c</text>',
+            "</svg>",
+            "",
+        ]
+
+    @pytest.mark.parametrize("kind", ["line", "scatter"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_its_series(self, kind, axis, bad):
+        xy = [np.arange(4.0), np.arange(4.0)]
+        xy[axis][2] = bad
+        with pytest.raises(NonFiniteResult, match="series 'broken'"):
+            emit_svg({"fine": np.arange(3.0), "broken": tuple(xy)}, kind=kind)
+
+    def test_non_finite_y_only_series_is_rejected(self):
+        with pytest.raises(NonFiniteResult, match="series 'z'"):
+            emit_svg({"z": np.array([0.5, -np.inf])}, kind="line")

@@ -53,6 +53,11 @@ class TestScaFit:
         model = sca_fit(xa, np.zeros_like(xa), 2)
         assert np.max(np.abs(model.projected_scores - model.scores)) < 1e-10
 
+    def test_effect_and_residual_shapes_must_agree(self):
+        xa = rank_k_complex(np.random.default_rng(1), 6, 9, 2)
+        with pytest.raises(DimensionMismatch, match="differ"):
+            sca_fit(xa, np.zeros((6, 8)), 2)
+
     def test_rank_one_exact_recovery(self):
         rng = np.random.default_rng(2)
         xa = rank_k_complex(rng, 8, 12, 1)

@@ -50,6 +50,8 @@ class TestForward:
     def test_empty_rejected(self):
         with pytest.raises(EmptySignal):
             dft_forward(np.array([]))
+        with pytest.raises(EmptySignal, match="1-D signal"):
+            dft_forward(np.ones((2, 4)))
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
@@ -79,6 +81,8 @@ class TestInverse:
     def test_empty_rejected(self):
         with pytest.raises(EmptySignal):
             dft_inverse(np.array([], dtype=complex))
+        with pytest.raises(EmptySignal, match="1-D spectrum"):
+            dft_inverse(np.ones((2, 4), dtype=complex))
 
 
 class TestRows:
@@ -97,6 +101,12 @@ class TestRows:
             mirrored = np.conj(row[(-np.arange(500)) % 500])
             assert np.max(np.abs(row - mirrored)) < 1e-9 * np.max(np.abs(row))
 
+    def test_zero_length_rows_are_rejected(self):
+        with pytest.raises(EmptySignal, match="zero-length rows"):
+            transform_rows(np.ones((3, 0)))
+        with pytest.raises(EmptySignal, match="zero-length rows"):
+            inverse_rows(np.ones((3, 0), dtype=complex))
+
     def test_round_trip_matrix(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(20, 4096)).astype(complex)
@@ -109,6 +119,11 @@ class TestParseval:
         x = np.zeros(9)
         x[0] = 1.0
         assert parseval_check(x) == (1.0, pytest.approx(1.0, rel=1e-14))
+
+    @pytest.mark.parametrize("x", [np.array([]), np.ones((2, 3))], ids=["empty", "2-D"])
+    def test_signal_that_is_not_a_non_empty_1d_array_is_rejected(self, x):
+        with pytest.raises(EmptySignal, match="non-empty 1-D"):
+            parseval_check(x)
 
     def test_constant_times_four(self):
         t, f = parseval_check(np.full(4, 2.0))

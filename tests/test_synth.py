@@ -124,6 +124,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             small_config(n_peaks=3, n_significant=4).validate()
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"n_acquisitions": 0}, "n_acquisitions must be positive"),
+        ({"replicates_per_level": 0}, "replicates_per_level must be positive"),
+        ({"peak_sigma": 0.0}, "peak_sigma must be positive"),
+        ({"peak_sigma": -1.0}, "peak_sigma must be positive"),
+    ])
+    def test_non_positive_sizes_rejected(self, setting, message):
+        with pytest.raises(ConfigInvalid, match=message):
+            small_config(**setting).validate()
+
     def test_negative_noise_rejected(self):
         with pytest.raises(ConfigInvalid):
             small_config(noise_sd=-0.5).validate()
