@@ -60,7 +60,7 @@ from .errors import (
     UnknownTerm,
     ZeroResidual,
 )
-from .linalg import as_complex_matrix, ssq
+from .linalg import _ssq, as_complex_matrix, ssq
 
 __all__ = [
     "GlmDecomposition",
@@ -315,11 +315,6 @@ def _gram_ssq(theta, gram, span=slice(None)):
     return float(val.real)
 
 
-def _total_ssq(x):
-    """``ssq(x)`` without its validation, for data validated at entry."""
-    return float(np.einsum("ij,ij->", x, x.conj()).real)
-
-
 def _cell_hats(dmatrix):
     """Stacked C x C cell hats ``q_t^T G_t q_t`` of every model term, then
     ``q^T D^T D q`` of the fitted part (see the module docstring)."""
@@ -360,7 +355,7 @@ def _cell_scorer(x, mask, dmatrix):
     fixed = np.hstack(parts + [(~mask).astype(float)])
     grand = _grand_means(x, mask)
     grand_parts = np.stack([grand.real, grand.imag][:k])
-    observed_ssq = _total_ssq(observed)
+    observed_ssq = _ssq(observed)
     # per permutation: the assignment, cell sums and counts, means, and
     # the imputed counts and squared means that weight them
     step = max(1, _CELL_CHUNK_BYTES // (8 * n_cells * (n + (3 * k + 2) * m)))
@@ -406,7 +401,7 @@ def _permutation_engine(x, dmatrix, n_permutations, seed, mask):
 
     def stats(xv):
         theta = proj @ xv
-        total = _total_ssq(xv)
+        total = _ssq(xv)
         fitted = _gram_ssq(theta, gram)
         resid = max(total - fitted, 0.0)
         ss = np.array([_gram_ssq(theta, gram, spans[t]) for t in dmatrix.terms])

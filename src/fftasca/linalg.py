@@ -45,7 +45,7 @@ def as_complex_matrix(a, name="matrix"):
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {arr.shape}")
     arr = arr.astype(np.complex128, copy=False)
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise NonFiniteResult(f"{name} contains non-finite entries")
     return arr
 
@@ -56,22 +56,19 @@ def hermitian(x):
     return x.conj().T.copy()
 
 
-def ssq(x):
-    """Real-valued sum of squares of a complex matrix.
+def _ssq(x):
+    """``Tr(X X^H)`` of a validated matrix; each ``x * conj(x)`` is real."""
+    return float(np.einsum("ij,ij->", x, x.conj()).real)
 
-    Computes the trace of ``X X^H`` by accumulating ``x * conj(x)`` in
-    complex arithmetic, asserts that the imaginary residue of the trace is
-    below ``1e-12`` of the magnitude, and returns the real part.  Equals
-    ``sum(|x_ij|^2)``.
-    """
-    x = as_complex_matrix(x)
-    trace = np.einsum("ij,ij->", x, x.conj())
-    magnitude = abs(trace.real)
-    if abs(trace.imag) > 1e-12 * max(magnitude, 1.0):
-        raise ArithmeticError(
-            f"imaginary residue {trace.imag!r} of the squared norm is not negligible"
-        )
-    return float(trace.real)
+
+def ssq(x):
+    """Real-valued sum of squares ``Tr(X X^H) = sum(|x_ij|^2)`` of a
+    complex matrix.  A NaN or inf entry, or a sum that overflows, raises
+    :class:`NonFiniteResult`."""
+    total = _ssq(as_complex_matrix(x))
+    if not np.isfinite(total):
+        raise NonFiniteResult("the sum of squares overflows the floating-point range")
+    return total
 
 
 @dataclass(frozen=True)

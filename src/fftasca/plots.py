@@ -62,11 +62,13 @@ def _normalize(series, kind):
 
 
 def _scaler(lo, hi, a, b):
-    span = hi - lo
+    # a range past the largest float is taken in halves, which are exact at that size
+    k = 0.5 if np.isinf(hi - lo) else 1.0
+    span = hi * k - lo * k
     if span == 0:
         span = 1.0
         lo -= 0.5
-    return lambda v: a + (v - lo) / span * (b - a)
+    return lambda v: a + (v * k - lo * k) / span * (b - a)
 
 
 def emit_svg(series, kind="line", title="", x_label="", y_label=""):

@@ -16,7 +16,7 @@ invertibility is kept.
 import numpy as np
 
 from .errors import EmptySignal
-from .linalg import as_complex_matrix
+from .linalg import as_complex_matrix, ssq
 
 __all__ = [
     "dft_forward",
@@ -35,7 +35,7 @@ def dft_forward(x):
         raise EmptySignal(f"expected a 1-D signal, got shape {x.shape}")
     if x.size == 0:
         raise EmptySignal("cannot transform an empty signal")
-    return np.fft.fft(x.astype(np.complex128, copy=False))
+    return transform_rows(x[None, :])[0]
 
 
 def dft_inverse(spectrum):
@@ -45,30 +45,30 @@ def dft_inverse(spectrum):
         raise EmptySignal(f"expected a 1-D spectrum, got shape {spectrum.shape}")
     if spectrum.size == 0:
         raise EmptySignal("cannot invert an empty spectrum")
-    return np.fft.ifft(spectrum.astype(np.complex128, copy=False))
+    return inverse_rows(spectrum[None, :])[0]
+
+
+def _rows(fft, x, name, out_name, verb):
+    """``fft`` of every row of ``x``; both ``x`` and the result must be finite."""
+    x = as_complex_matrix(x, name)
+    if x.shape[1] == 0:
+        raise EmptySignal(f"cannot {verb} zero-length rows")
+    # a finite signal can overflow; as_complex_matrix rejects that as NonFiniteResult
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = fft(x, axis=1)
+    return as_complex_matrix(out, out_name)
 
 
 def transform_rows(x):
     """Forward-transform every row of an N x M matrix; returns the N x M
     complex spectrum, all M bins of each row."""
-    x = as_complex_matrix(x)
-    if x.shape[1] == 0:
-        raise EmptySignal("cannot transform zero-length rows")
-    # a finite signal can overflow; as_complex_matrix rejects that as NonFiniteResult
-    with np.errstate(over="ignore", invalid="ignore"):
-        spectrum = np.fft.fft(x, axis=1)
-    return as_complex_matrix(spectrum, "spectrum")
+    return _rows(np.fft.fft, x, "matrix", "spectrum", "transform")
 
 
 def inverse_rows(spectrum):
     """Inverse-transform every row of an N x M spectrum; returns the N x M
     complex matrix."""
-    spectrum = as_complex_matrix(spectrum, "spectrum")
-    if spectrum.shape[1] == 0:
-        raise EmptySignal("cannot invert zero-length rows")
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = np.fft.ifft(spectrum, axis=1)
-    return as_complex_matrix(x, "inverse transform")
+    return _rows(np.fft.ifft, spectrum, "spectrum", "inverse transform", "invert")
 
 
 def parseval_check(x):
@@ -80,10 +80,8 @@ def parseval_check(x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise EmptySignal("parseval_check expects a non-empty 1-D real signal")
-    time_ssq = float(np.sum(x * x))
-    spec = np.fft.fft(x)
-    freq_ssq_scaled = float(np.sum(spec.real**2 + spec.imag**2) / x.size)
-    return time_ssq, freq_ssq_scaled
+    row = x[None, :]
+    return ssq(row), ssq(transform_rows(row)) / x.size
 
 
 def reversed_conjugate(v):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -213,6 +214,14 @@ class TestFRatio:
         dm = one_factor(1)
         with pytest.raises(ZeroResidual):
             f_ratio(fit(x, dm), "g")
+
+    @pytest.mark.parametrize("field", ["effects", "residuals"])
+    def test_sum_that_overflows_is_refused(self, field):
+        big = np.full((2, 2), 1e200, dtype=complex)
+        value = {"g": big} if field == "effects" else big
+        dec = dataclasses.replace(manual_decomposition(1.0, 1, 1.0, 1), **{field: value})
+        with pytest.raises(NonFiniteResult, match="sum of squares overflows"):
+            f_ratio(dec, "g")
 
     def test_unknown_term(self):
         dec = manual_decomposition(1.0, 1, 1.0, 1)

@@ -39,6 +39,12 @@ class TestAsComplexMatrix:
         with pytest.raises(DimensionMismatch, match="effect must be 2-D"):
             as_complex_matrix(np.ones(shape), "effect")
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(1.0, np.inf),
+                                     complex(0.0, np.nan)])
+    def test_non_finite_real_or_imaginary_part_is_rejected(self, bad):
+        with pytest.raises(NonFiniteResult, match="effect contains non-finite entries"):
+            as_complex_matrix(np.array([[1.0, bad]]), "effect")
+
 
 class TestSsq:
     def test_single_entry(self):
@@ -62,6 +68,11 @@ class TestSsq:
         for _ in range(5):
             x = random_complex(rng, 6, 3)
             assert ssq(x) == pytest.approx(ssq(hermitian(x)), rel=1e-12)
+
+    @pytest.mark.parametrize("value", [1e200, 1e200 + 1e200j, -1e155j])
+    def test_finite_matrix_whose_sum_overflows_is_refused(self, value):
+        with pytest.raises(NonFiniteResult, match="sum of squares overflows"):
+            ssq(np.full((2, 2), value))
 
     def test_additive_on_orthogonal_pair(self):
         # disjoint column support makes Tr(A B^H) = 0 exactly

@@ -1,3 +1,4 @@
+import warnings
 from xml.etree import ElementTree
 
 import numpy as np
@@ -123,3 +124,19 @@ class TestEmitSvg:
     def test_non_finite_y_only_series_is_rejected(self):
         with pytest.raises(NonFiniteResult, match="series 'z'"):
             emit_svg({"z": np.array([0.5, -np.inf])}, kind="line")
+
+    @pytest.mark.parametrize("kind", ["line", "scatter"])
+    @pytest.mark.parametrize("x, cx", [
+        ([-1e308, 0.0, 1e308], ["56", "360", "664"]),  # hi - lo overflows
+        ([0.0, 5e-324, 5e-324], ["56", "664", "664"]),  # hi - lo is the least subnormal
+    ], ids=["overflowing", "subnormal"])
+    def test_extreme_x_range_spans_the_axis(self, kind, x, cx):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            root = ElementTree.fromstring(emit_svg({"s": (x, [1.0, 2.0, 3.0])}, kind=kind))
+        if kind == "line":
+            points = root.find("{http://www.w3.org/2000/svg}polyline").get("points")
+            got = [p.split(",")[0] for p in points.split()]
+        else:
+            got = [c.get("cx") for c in root.iter("{http://www.w3.org/2000/svg}circle")]
+        assert got == cx

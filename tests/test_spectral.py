@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fftasca.errors import EmptySignal
+from fftasca.errors import EmptySignal, NonFiniteResult
 from fftasca.spectral import (
     dft_forward,
     dft_inverse,
@@ -155,6 +157,28 @@ class TestParseval:
         for row in x:
             t, f = parseval_check(row)
             assert f == pytest.approx(t, rel=1e-9, abs=1e-300)
+
+
+class TestNonFinite:
+    """The 1-D forms and parseval_check refuse what the row forms refuse,
+    without a numpy RuntimeWarning on the way."""
+
+    @pytest.mark.parametrize("transform", [dft_forward, dft_inverse])
+    @pytest.mark.parametrize("signal", [[np.nan, 1.0], [1.0, np.inf], np.full(4, 1e308)],
+                             ids=["nan", "inf", "overflow"])
+    def test_one_d_forms_raise(self, transform, signal):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteResult, match="non-finite entries"):
+                transform(signal)
+
+    @pytest.mark.parametrize("signal", [[np.nan, 1.0], np.full(4, 1e200)],
+                             ids=["nan", "overflow"])
+    def test_parseval_check_raises(self, signal):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteResult):
+                parseval_check(signal)
 
 
 class TestFastPathAgainstNaive:
