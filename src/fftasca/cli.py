@@ -42,7 +42,7 @@ from .glm import (
     permutation_test,
     zeros_to_missing,
 )
-from .linalg import mean_center_columns
+from .linalg import as_complex_matrix, mean_center_columns
 from .sca import _real_part, effect_to_time, loadings_to_time, real_scores, sca_fit
 from .spectral import inverse_rows, transform_rows
 from .synth import SynthConfig, generate, jitter_experiment
@@ -231,6 +231,8 @@ def _cmd_analyze(args):
         raise ConfigInvalid(f"--alpha must lie in (0, 1), got {args.alpha}")
     if args.components is not None:
         _check_count("--components", args.components)
+    if args.pcmr and args.domain != "time":
+        raise ConfigInvalid("--pcmr applies to peak tables and requires --domain time")
     x, spec, ids = dataio.load_dataset(args.chromatograms, args.metadata)
     interactions = _parse_interactions(args.interactions, spec)
     if interactions:
@@ -239,15 +241,16 @@ def _cmd_analyze(args):
 
     mask = None
     if args.pcmr:
-        if args.domain != "time":
-            raise ConfigInvalid("--pcmr applies to peak tables and requires --domain time")
         values, mask = zeros_to_missing(x.real)
         x = values.astype(np.complex128)
 
     if args.center:
-        # with a mask, centre by observed-entry means and leave masked cells as they are
-        x = (mean_center_columns(x) if mask is None
-             else np.where(mask, x, x - _grand_means(x, mask)))
+        # with a mask, centre by observed-entry means and leave masked cells as they are;
+        # a mean of finite values can overflow, which as_complex_matrix rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = (mean_center_columns(x) if mask is None
+                 else as_complex_matrix(np.where(mask, x, x - _grand_means(x, mask)),
+                                        "centered matrix"))
 
     if args.domain == "time":
         data = x

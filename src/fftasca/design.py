@@ -22,6 +22,7 @@ from .errors import (
     DegenerateFactor,
     DimensionMismatch,
     InvalidTerm,
+    RankWarning,
     UnbalancedDesignWarning,
 )
 from .linalg import pinv_from_svd, rank_from_singular_values, svd
@@ -258,7 +259,8 @@ class DesignMatrix:
 
 
 def encode(spec):
-    """Encode a DesignSpec into its sum-to-zero coding matrix.
+    """Encode a DesignSpec into its sum-to-zero coding matrix, warning once
+    if the design is unbalanced and once if it is column-rank deficient.
 
     Raises
     ------
@@ -280,6 +282,13 @@ def encode(spec):
         spans[term] = slice(start, start + cols.shape[1])
         start += cols.shape[1]
 
+    dmatrix = DesignMatrix(
+        matrix=np.hstack(blocks),
+        column_spans=spans,
+        dof={t: span.stop - span.start for t, span in spans.items()},
+        cell_ids=spec.cells.inverse,
+        spec=spec,
+    )
     if not is_balanced(spec):
         warnings.warn(
             "design is unbalanced; effect sums of squares will not partition "
@@ -287,14 +296,10 @@ def encode(spec):
             UnbalancedDesignWarning,
             stacklevel=2,
         )
-
-    return DesignMatrix(
-        matrix=np.hstack(blocks),
-        column_spans=spans,
-        dof={t: span.stop - span.start for t, span in spans.items()},
-        cell_ids=spec.cells.inverse,
-        spec=spec,
-    )
+    if dmatrix.rank < dmatrix.matrix.shape[1]:
+        warnings.warn("design matrix is column-rank deficient; fitting by pseudoinverse",
+                      RankWarning, stacklevel=2)
+    return dmatrix
 
 
 def is_balanced(spec):

@@ -56,7 +56,6 @@ from .errors import (
     DimensionMismatch,
     EmptyCellWarning,
     NonFiniteResult,
-    RankWarning,
     UnknownTerm,
     ZeroResidual,
 )
@@ -119,20 +118,11 @@ class GlmDecomposition:
         return self.term_rows.get(term) or DistinctRows.all_distinct(n)
 
 
-def _check_design(x, dmatrix, stacklevel):
-    """Reject data with the wrong row count; warn if the design is rank
-    deficient, ``stacklevel`` frames up as for :func:`warnings.warn`."""
-    d = dmatrix.matrix
-    if x.shape[0] != d.shape[0]:
-        raise DimensionMismatch(
-            f"data has {x.shape[0]} rows but the design encodes {d.shape[0]} samples"
-        )
-    if dmatrix.rank < d.shape[1]:
-        warnings.warn(
-            "design matrix is column-rank deficient; fitting by pseudoinverse",
-            RankWarning,
-            stacklevel=stacklevel + 1,
-        )
+def _check_rows(x, dmatrix):
+    """Reject data whose row count is not the design's sample count."""
+    if x.shape[0] != dmatrix.n_samples:
+        raise DimensionMismatch(f"data has {x.shape[0]} rows, which do not match the design "
+                                f"of {dmatrix.n_samples} samples")
 
 
 def fit(x, dmatrix):
@@ -142,7 +132,7 @@ def fit(x, dmatrix):
     ``ones*mu + sum(effects) + residuals == x``.
     """
     x = as_complex_matrix(x)
-    _check_design(x, dmatrix, stacklevel=2)
+    _check_rows(x, dmatrix)
     d = dmatrix.matrix
     theta = dmatrix.pinv @ x
     effects = {}
@@ -163,21 +153,25 @@ def fit(x, dmatrix):
 
 def f_ratio(decomp, term):
     """F-ratio of one term: (effect ssq / nu1) / (residual ssq / nu2)."""
-    effect = decomp.effect(term)
-    res_ssq = ssq(decomp.residuals)
-    nu2 = decomp.residual_dof
-    _check_residual(res_ssq, nu2)
-    nu1 = decomp.dof[term]
-    return (ssq(effect) / nu1) / (res_ssq / nu2)
+    ss = ssq(decomp.effect(term))
+    return float(_f_ratios(ss, decomp.dof[term], ssq(decomp.residuals), decomp.residual_dof))
 
 
-def _check_residual(res_ssq, nu2):
-    """Raise :class:`ZeroResidual` unless there is a residual to test against."""
+def _f_ratios(ss, nu1, resid, nu2):
+    """F-ratios ``ss / nu1 / (resid / nu2)`` of one fit; raise
+    :class:`ZeroResidual` unless there is a residual to test against, and
+    :class:`NonFiniteResult` for an F past the floating-point range."""
     if nu2 == 0:
         raise ZeroResidual("no residual sum of squares or degrees of freedom (saturated model)")
-    if res_ssq == 0.0:
+    if resid == 0.0:
         raise ZeroResidual(f"the residual sum of squares rounds to zero against the fitted "
                            f"part, although {nu2} residual degrees of freedom remain")
+    # a subnormal residual over nu2 can round to zero
+    with np.errstate(over="ignore", divide="ignore"):
+        f = np.asarray(ss, dtype=float) / nu1 / (resid / nu2)
+    if not np.isfinite(f).all():
+        raise NonFiniteResult("the sums of squares overflow the floating-point range")
+    return f
 
 
 @dataclass(frozen=True)
@@ -285,8 +279,7 @@ def impute_cell_means(x, mask, dmatrix, warn_empty=True):
     """
     x = as_complex_matrix(x)
     mask = _check_mask(x, mask)
-    if x.shape[0] != dmatrix.n_samples:
-        raise DimensionMismatch("data rows do not match the design")
+    _check_rows(x, dmatrix)
     if warn_empty:
         _warn_empty_cells(mask, dmatrix, stacklevel=2)
     # cell means of finite values can overflow; that raises NonFiniteResult
@@ -383,7 +376,7 @@ def _cell_scorer(x, mask, dmatrix):
 
 def _permutation_engine(x, dmatrix, n_permutations, seed, mask):
     x = as_complex_matrix(x)
-    _check_design(x, dmatrix, stacklevel=3)
+    _check_rows(x, dmatrix)
     n = x.shape[0]
     if n_permutations < 1:
         raise ConfigInvalid(f"need at least one permutation, got {n_permutations}")
@@ -396,8 +389,16 @@ def _permutation_engine(x, dmatrix, n_permutations, seed, mask):
         mask = _check_mask(x, mask)
         if not mask.any():
             mask = None
-    if mask is not None:
+    # the rows the fit of permutation p sees; the nominal fit's p is slice(None), a view
+    if mask is None:
+        def rows_of(p):
+            return x[p]
+    else:
+        _warn_empty_cells(mask, dmatrix, stacklevel=3)
         grand = _grand_means(x, mask)
+
+        def rows_of(p):
+            return _impute(x[p], mask[p], dmatrix.cell_ids, grand)
 
     def stats(xv):
         theta = proj @ xv
@@ -408,11 +409,7 @@ def _permutation_engine(x, dmatrix, n_permutations, seed, mask):
         mean_ssq = _gram_ssq(theta, gram, spans[MEAN_TERM])
         return total, mean_ssq, ss, resid
 
-    if mask is None:
-        x0 = x
-    else:
-        _warn_empty_cells(mask, dmatrix, stacklevel=3)
-        x0 = _impute(x, mask, dmatrix.cell_ids, grand)
+    x0 = rows_of(slice(None))
     # a fit of finite values can overflow; the checks below raise on what that leaves
     with np.errstate(over="ignore", invalid="ignore"):
         total0, mean0, ss0, resid0 = stats(x0)
@@ -423,12 +420,7 @@ def _permutation_engine(x, dmatrix, n_permutations, seed, mask):
         raise NonFiniteResult("the sums of squares overflow the floating-point range")
     if nu2 > 0 and total0 < np.finfo(float).tiny and x0.any():
         raise NonFiniteResult("the sums of squares underflow the floating-point range")
-    _check_residual(resid0, nu2)
-    # a subnormal residual over nu2 can round to zero
-    with np.errstate(over="ignore", divide="ignore"):
-        f_nom = ss0 / nu1 / (resid0 / nu2)
-    if not np.isfinite(f_nom).all():
-        raise NonFiniteResult("the sums of squares overflow the floating-point range")
+    f_nom = _f_ratios(ss0, nu1, resid0, nu2)
 
     score = _cell_scorer(x, mask, dmatrix)
     counts = np.zeros(len(nu1), dtype=np.int64)
@@ -442,9 +434,7 @@ def _permutation_engine(x, dmatrix, n_permutations, seed, mask):
         margin = ss_perm / total[:, None] * (nu2 / nu1) - f_nom * (resid / total)[:, None]
         above = margin >= 0.0
         for i in np.flatnonzero((np.abs(margin) <= window).any(axis=1)):
-            p = perms[i]
-            xp = x[p] if mask is None else _impute(x[p], mask[p], dmatrix.cell_ids, grand)
-            _, _, ss, r = stats(xp)
+            _, _, ss, r = stats(rows_of(perms[i]))
             f = np.inf if r <= 0.0 else ss / nu1 / (r / nu2)
             above[i] = f - f_nom >= -F_TIE_REL * np.maximum(np.abs(f), np.abs(f_nom))
         counts += np.count_nonzero(above, axis=0)

@@ -587,6 +587,9 @@ EXIT_TABLE = [
     ("pcmr outside the time domain", lambda c, m, t: (
         "analyze", c, m, "--pcmr", "--domain", "freq", "--permutations", "9"),
      EXIT_CONFIG, "--pcmr"),
+    ("pcmr outside the time domain, before any file is read", lambda c, m, t: (
+        "analyze", t / "absent.csv", t / "absent_meta.csv", "--pcmr", "--domain", "freq"),
+     EXIT_CONFIG, "--pcmr applies to peak tables and requires --domain time"),
     ("self interaction", lambda c, m, t: (
         "analyze", c, m, "--interactions", "group:group", "--permutations", "9"),
      EXIT_CONFIG, "'group:group' pairs a factor with itself"),
@@ -738,6 +741,11 @@ EXIT_TABLE = [
         _raw(t, "g.csv", b"sample,g\ns0,a\ns1,a\ns2,a\ns3,b\ns4,b\ns5,b\n"),
         "--domain", "time", "--permutations", "9", "--out-dir", t / "o"),
      EXIT_NUMERIC, "sums of squares overflow"),
+    ("overflowing centring of a peak table", lambda c, m, t: (
+        "analyze", _raw(t, "d.csv", b"sample,t0\ns0,1.7e308\ns1,-1.7e308\ns2,-1.7e308\ns3,1\n"),
+        _raw(t, "g.csv", b"sample,g\ns0,a\ns1,a\ns2,b\ns3,b\n"),
+        "--domain", "time", "--pcmr", "--center", "--permutations", "9"),
+     EXIT_NUMERIC, "centered matrix contains non-finite entries"),
     ("overflowing spectrum", lambda c, m, t: (
         "transform", _near_max(c, t), "--out", t / "o.csv"),
      EXIT_NUMERIC, "spectrum contains non-finite entries"),
@@ -960,6 +968,22 @@ def test_warnings_are_one_line_without_the_source_path(fixture_files, tmp_path, 
     lines = done.stderr.splitlines()
     assert any("unbalanced" in line for line in lines)
     assert all(line.startswith("warning: ") for line in lines)
+
+
+def test_rank_deficient_design_warns_once(tmp_path, child_env):
+    # a 2 x 2 cross with its (y, q) cell empty: four columns, three cells
+    chrom = _raw(tmp_path, "c.csv", b"sample,t0,t1\ns0,1,2\ns1,2,1\ns2,3,3\ns3,2,5\n"
+                 b"s4,4,4\ns5,3,6\ns6,9,8\ns7,8,9\ns8,10,9\n")
+    meta = _raw(tmp_path, "m.csv", b"sample,a,b\ns0,x,p\ns1,x,p\ns2,x,p\ns3,x,q\ns4,x,q\n"
+                b"s5,x,q\ns6,y,p\ns7,y,p\ns8,y,p\n")
+    done = subprocess.run([sys.executable, "-m", "fftasca.cli", "analyze", str(chrom), str(meta),
+                           "--domain", "time", "--interactions", "a:b", "--permutations", "199",
+                           "--out-dir", str(tmp_path / "o")],
+                          env=child_env, capture_output=True, text=True)
+    assert done.returncode == EXIT_OK, done.stderr
+    # the fit behind the artifacts ran too: a significant term wrote its scores
+    assert list((tmp_path / "o").glob("scores_*.csv"))
+    assert done.stderr.count("design matrix is column-rank deficient") == 1
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

@@ -113,18 +113,23 @@ class TestFit:
     def test_rank_deficient_design_warns(self):
         a = Factor.from_labels("a", [0, 0, 1, 1])
         b = Factor.from_labels("b", [0, 0, 1, 1])  # duplicates a
-        dm = encode(DesignSpec(factors=(a, b)))
+        with pytest.warns(UnbalancedDesignWarning), pytest.warns(RankWarning):
+            dm = encode(DesignSpec(factors=(a, b)))
         x = np.random.default_rng(5).normal(size=(4, 3)).astype(complex)
-        with pytest.warns(RankWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RankWarning)  # encode has warned; fit does not
             dec = fit(x, dm)
         assert dec.residual_dof == 4 - 2  # numerical rank, not column count
 
 
 def _rank_deficient_design():
+    """A design whose two factors alias, and the warnings that encoding it gave."""
     a = Factor.from_labels("a", [0, 0, 1, 1, 0, 1])
     b = Factor.from_labels("b", [0, 0, 1, 1, 0, 1])  # duplicates a
-    with pytest.warns(UnbalancedDesignWarning):
-        return encode(DesignSpec(factors=(a, b)))
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        dm = encode(DesignSpec(factors=(a, b)))
+    return dm, record
 
 
 def _pcmr_test(x, dm, **kwargs):
@@ -156,12 +161,14 @@ class TestPreparedDesignUse:
         lambda x, dm: _pcmr_test(x, dm, n_permutations=9, seed=0),
     ], ids=["fit", "permutation_test", "pcmr_permutation_test"])
     def test_rank_warning_points_at_the_caller(self, call):
-        dm = _rank_deficient_design()
+        # encode warns once per design, at its caller; fitting and testing warn no more
+        dm, record = _rank_deficient_design()
+        assert [(w.category, w.filename) for w in record] == [
+            (UnbalancedDesignWarning, __file__), (RankWarning, __file__)]
         x = np.random.default_rng(5).normal(size=(6, 3)).astype(complex)
-        with pytest.warns(RankWarning) as record:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RankWarning)
             call(x, dm)
-        rank_warnings = [w for w in record if issubclass(w.category, RankWarning)]
-        assert [w.filename for w in rank_warnings] == [__file__]
 
     @pytest.mark.parametrize("call", [
         lambda x, mask, dm: impute_cell_means(x, mask, dm),
@@ -222,6 +229,15 @@ class TestFRatio:
         dec = dataclasses.replace(manual_decomposition(1.0, 1, 1.0, 1), **{field: value})
         with pytest.raises(NonFiniteResult, match="sum of squares overflows"):
             f_ratio(dec, "g")
+
+    @pytest.mark.parametrize("args", [(100.0, 2, 5e-324, 80), (1e300, 1, 1e-300, 1)],
+                             ids=["subnormal residual", "overflowing ratio"])
+    def test_f_past_the_float_range_is_refused(self, args):
+        dec = manual_decomposition(*args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no RuntimeWarning on the way
+            with pytest.raises(NonFiniteResult, match="overflow the floating-point range"):
+                f_ratio(dec, "g")
 
     def test_unknown_term(self):
         dec = manual_decomposition(1.0, 1, 1.0, 1)
