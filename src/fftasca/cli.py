@@ -224,6 +224,17 @@ def _emit_term_artifacts(args, out_dir, model, decomp, spec, ids):
                     y_label="intensity")
 
 
+def _check_out_dir(path):
+    """Raise, creating nothing, the error ``os.makedirs(path, exist_ok=True)``
+    would raise at a file on the path, so that it comes before the work."""
+    try:
+        os.stat(path)  # under a file this raises NotADirectoryError
+    except FileNotFoundError:
+        return
+    if not os.path.isdir(path):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
+
+
 def _cmd_analyze(args):
     _check_count("--permutations", args.permutations, most=MAX_PERMUTATIONS)
     _check_count("--seed", args.seed, least=0)
@@ -233,30 +244,27 @@ def _cmd_analyze(args):
         _check_count("--components", args.components)
     if args.pcmr and args.domain != "time":
         raise ConfigInvalid("--pcmr applies to peak tables and requires --domain time")
-    x, spec, ids = dataio.load_dataset(args.chromatograms, args.metadata)
+    if args.out_dir is not None:
+        _check_out_dir(args.out_dir)
+    data, spec, ids = dataio.load_dataset(args.chromatograms, args.metadata)
     interactions = _parse_interactions(args.interactions, spec)
     if interactions:
         spec = type(spec)(factors=spec.factors, interactions=interactions)
     dmatrix = encode(spec)
 
-    mask = None
-    if args.pcmr:
-        values, mask = zeros_to_missing(x.real)
-        x = values.astype(np.complex128)
-
+    # each stage rebinds data, so no table outlives the stage that reads it
+    mask = zeros_to_missing(data.real)[1] if args.pcmr else None
     if args.center:
         # with a mask, centre by observed-entry means and leave masked cells as they are;
         # a mean of finite values can overflow, which as_complex_matrix rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            x = (mean_center_columns(x) if mask is None
-                 else as_complex_matrix(np.where(mask, x, x - _grand_means(x, mask)),
-                                        "centered matrix"))
-
-    if args.domain == "time":
-        data = x
-    else:
-        spectra = transform_rows(x)
-        data = spectra if args.domain == "freq" else np.abs(spectra)
+            data = (mean_center_columns(data) if mask is None
+                    else as_complex_matrix(np.where(mask, data, data - _grand_means(data, mask)),
+                                           "centered matrix"))
+    if args.domain != "time":
+        data = transform_rows(data)
+    if args.domain == "mag":
+        data = np.abs(data)
 
     def run_test(dm):
         if mask is None:
@@ -341,6 +349,7 @@ def _cmd_simulate(args):
     if args.dataset_out and not os.path.isdir(os.path.dirname(args.dataset_out) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
                                 f"{args.dataset_out}_chromatograms.csv")
+    _check_out_dir(args.out_dir)
     trials = jitter_experiment(config, levels, args.trials,
                                n_permutations=args.permutations, seed=args.seed)
     if args.dataset_out:
@@ -377,12 +386,12 @@ def _cmd_simulate(args):
 def _cmd_transform(args):
     if args.inverse:
         ids, values = dataio.read_complex_matrix(args.input)
-        back, residue = _real_part(inverse_rows(values))
-        scale = float(np.max(np.abs(back))) if back.size else 1.0
+        values, residue = _real_part(inverse_rows(values))  # the spectrum is freed here
+        scale = float(np.max(np.abs(values))) if values.size else 1.0
         if residue > 1e-6 * max(scale, 1.0):
             sys.stderr.write(
                 f"warning: discarding imaginary parts up to {residue:.3g}\n")
-        dataio.write_chromatograms(args.out, ids, back)
+        dataio.write_chromatograms(args.out, ids, values)
     else:
         ids, _, values = dataio.read_chromatograms(args.input)
         dataio.write_complex_matrix(args.out, ids, transform_rows(values))

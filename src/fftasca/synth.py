@@ -311,8 +311,11 @@ def jitter_experiment(config, jitter_levels, trials, n_permutations=200, seed=0)
 
     Returns a list of JitterTrial rows in (jitter, trial) order.  Every z
     is finite: a p of 1 counts as B/(B+1), the largest p below 1 that B
-    permutations can give.
+    permutations can give.  Every level's config is validated before the
+    first trial, so a bad level fails before the work of the levels ahead.
     """
+    for jitter in jitter_levels:
+        replace(config, jitter_max=int(jitter)).validate()
     results = []
     dmatrix = None  # every trial has the same design
     for jitter in jitter_levels:

@@ -7,6 +7,7 @@ permuted data, so its counts define the p-values the kernel engine must
 reproduce exactly.
 """
 
+import itertools
 import math
 import warnings
 
@@ -90,8 +91,9 @@ def loop_permutation_test(x, dmatrix, n_permutations=1000, seed=0, mask=None):
     }
 
     if math.factorial(n) - 1 <= n_permutations:
-        perms = permute_rows(n, 0, exhaustive=True)
-        perms = perms[~np.all(perms == np.arange(n), axis=1)]
+        # every permutation but the identity, which itertools yields first; enumerated
+        # here, not by the engine, so that a fault in its enumeration is not repeated
+        perms = np.array(list(itertools.permutations(range(n)))[1:], dtype=np.intp)
     else:
         perms = permute_rows(n, n_permutations, seed=seed)
     n_eff = perms.shape[0]

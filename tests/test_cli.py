@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fftasca import errors, glm
+from fftasca import cli, errors, glm
 from fftasca import io as dataio
 from fftasca.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, run_pipeline
 from fftasca.design import MAX_PERMUTATIONS, DesignSpec, encode
@@ -70,6 +71,19 @@ def pcmr_inputs(chrom, meta):
 
 def run(*argv):
     return run_pipeline([str(a) for a in argv])
+
+
+def _track_tables(monkeypatch, owner, name, refs, index=None):
+    """Wrap ``owner.name`` to put a weak reference to each table it returns
+    (item ``index`` of the result, if given) in ``refs``."""
+    inner = getattr(owner, name)
+
+    def tracked(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        refs.append(weakref.ref(out if index is None else out[index]))
+        return out
+
+    monkeypatch.setattr(owner, name, tracked)
 
 
 class TestAnalyze:
@@ -265,6 +279,25 @@ class TestAnalyze:
         dataio.write_anova_csv(tmp_path / "expected.csv", expected)
         assert (out / "anova.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
+    @pytest.mark.parametrize("domain", ["freq", "mag"])
+    def test_only_the_tested_table_is_alive_at_the_test(
+            self, fixture_files, monkeypatch, domain):
+        # the loaded table, and under mag the spectra, are freed once the next stage has read them
+        refs, seen = [], []
+        _track_tables(monkeypatch, dataio, "load_dataset", refs, index=0)
+        _track_tables(monkeypatch, cli, "transform_rows", refs)
+        test = cli.permutation_test
+
+        def checked(data, *args, **kwargs):
+            live = [ref() for ref in refs if ref() is not None]
+            seen.append((len(refs), all(table is data for table in live)))
+            return test(data, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "permutation_test", checked)
+        assert run("analyze", *fixture_files, "--domain", domain,
+                   "--permutations", "9") == EXIT_OK
+        assert seen == [(2, True)]
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("analyze", tmp_path / "nope.csv", tmp_path / "meta.csv") \
             == EXIT_DATA
@@ -355,6 +388,22 @@ class TestTransformAndImpute:
         _, _, original = dataio.read_chromatograms(chrom)
         _, _, recovered = dataio.read_chromatograms(back)
         assert np.max(np.abs(original - recovered)) < 1e-9
+
+    def test_inverse_frees_the_spectrum_before_the_write(self, fixture_files, tmp_path,
+                                                         monkeypatch):
+        spectrum = tmp_path / "spec.csv"
+        assert run("transform", fixture_files[0], "--out", spectrum) == EXIT_OK
+        refs, seen = [], []
+        _track_tables(monkeypatch, dataio, "read_complex_matrix", refs, index=1)
+        write = dataio.write_chromatograms
+
+        def checked(*args, **kwargs):
+            seen.append([ref() is None for ref in refs])
+            return write(*args, **kwargs)
+
+        monkeypatch.setattr(dataio, "write_chromatograms", checked)
+        assert run("transform", spectrum, "--inverse", "--out", tmp_path / "back.csv") == EXIT_OK
+        assert seen == [[True]]
 
     def test_inverse_that_is_not_real_warns_once(self, tmp_path, capsys):
         spectrum = tmp_path / "spec.csv"
@@ -578,6 +627,16 @@ EXIT_TABLE = [
      EXIT_CONFIG, "n_peaks = 0 needs noise_sd"),
     ("bad jitter grid", lambda c, m, t: ("simulate", "--jitter-grid", "5", "--out-dir", t),
      EXIT_CONFIG, "--jitter-grid"),
+    # one sample per level saturates the model, so a trial that ran would exit 4
+    ("jitter level past 50, before any trial", lambda c, m, t: (
+        "simulate", "--trials", "1", "--jitter-grid", "0:10:60", "--permutations", "5",
+        "--replicates", "1", "--out-dir", t / "s"),
+     EXIT_CONFIG, "jitter_max must lie in [0, 50] acquisitions"),
+    ("jitter level too wide for the peaks, before any trial", lambda c, m, t: (
+        "simulate", "--trials", "1", "--jitter-grid", "0:40:40", "--permutations", "5",
+        "--acquisitions", "600", "--peaks", "4", "--significant", "2",
+        "--replicates", "1", "--out-dir", t / "s"),
+     EXIT_CONFIG, "peaks too dense"),
     ("interaction without a colon", lambda c, m, t: (
         "analyze", c, m, "--interactions", "group", "--permutations", "9"),
      EXIT_CONFIG, "--interactions expects A:B, got 'group'"),
@@ -603,6 +662,23 @@ EXIT_TABLE = [
      EXIT_CONFIG, "'batch:group' repeats a pair"),
     ("missing file", lambda c, m, t: ("analyze", t / "absent.csv", m),
      EXIT_DATA, "absent.csv"),
+    # absent inputs and a saturated simulation show that the out-dir check comes first
+    ("analyze out-dir that is a file, before any read", lambda c, m, t: (
+        "analyze", t / "absent.csv", t / "absent_meta.csv",
+        "--out-dir", _raw(t, "taken", b"")),
+     EXIT_DATA, "File exists"),
+    ("analyze out-dir under a file, before any read", lambda c, m, t: (
+        "analyze", t / "absent.csv", t / "absent_meta.csv",
+        "--out-dir", _raw(t, "taken", b"") / "o"),
+     EXIT_DATA, "Not a directory"),
+    ("simulate out-dir that is a file, before any trial", lambda c, m, t: (
+        "simulate", "--trials", "1", "--jitter-grid", "0:10:0", "--permutations", "5",
+        "--replicates", "1", "--out-dir", _raw(t, "taken", b"")),
+     EXIT_DATA, "File exists"),
+    ("simulate out-dir under a file, before any trial", lambda c, m, t: (
+        "simulate", "--trials", "1", "--jitter-grid", "0:10:0", "--permutations", "5",
+        "--replicates", "1", "--out-dir", _raw(t, "taken", b"") / "o" / "p"),
+     EXIT_DATA, "Not a directory"),
     ("parse failure", lambda c, m, t: (
         "analyze", _edited(c, t, "bad.csv", lambda s: _second_line_cell(s, "abc")), m),
      EXIT_DATA, "cannot parse 'abc'"),

@@ -225,6 +225,18 @@ class TestJitterExperiment:
         both = jitter_experiment(cfg, [0, 30], trials=1, n_permutations=49, seed=11)
         assert lone[0] == both[1]
 
+    @pytest.mark.parametrize("levels, message", [
+        ([0, 10, 60], "jitter_max must lie in"),
+        ([0, 30], "peaks too dense"),  # spacing 1000/11 is not above 2 * (4 * 5 + 30)
+    ])
+    def test_every_level_is_checked_before_the_first_trial(self, monkeypatch, levels, message):
+        def generate_called(cfg):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(synth, "generate", generate_called)
+        with pytest.raises(ConfigInvalid, match=message):
+            jitter_experiment(small_config(n_peaks=10), levels, trials=2, n_permutations=49)
+
     def test_design_is_encoded_once_per_call(self, monkeypatch):
         # every trial has the same two-level design
         calls = []
