@@ -32,7 +32,7 @@ x[np.array(temperature.labels) == 1] += 0.9
 x = x.astype(complex)
 
 decomposition = fit(x, dmatrix)
-explained = {term: ssq(effect) for term, effect in decomposition.effects.items()}
+explained = {term: ssq(decomposition.effect(term)) for term in decomposition.levels}
 print("\neffect sums of squares:", {k: round(v, 1) for k, v in explained.items()})
 
 table = permutation_test(x, dmatrix, n_permutations=999, seed=7)

@@ -41,11 +41,10 @@ table = permutation_test(spectra, dmatrix, n_permutations=999, seed=3)
 print(table.to_text())
 
 effect = fit(spectra, dmatrix)
-# the effect has one distinct row per level: the SVD runs on those rows only
-rows = effect.distinct_rows("group")
-n_comp = default_components(effect.effect("group"), cap=max(effect.dof["group"], 1),
-                            rows=rows)
-model = sca_fit(effect.effect("group"), effect.residuals, n_comp, term="group", rows=rows)
+# the fit keeps one distinct row per level of the effect; the SVD runs on those rows only
+levels, rows = effect.levels["group"], effect.distinct_rows("group")
+n_comp = default_components(levels, cap=max(effect.dof["group"], 1), rows=rows)
+model = sca_fit(levels, effect.residuals, n_comp, term="group", rows=rows)
 print(f"component model: {n_comp} component(s), "
       f"explained ssq {model.explained_ssq.round(1)}")
 
@@ -63,11 +62,11 @@ with open(os.path.join(out_dir, "loading_time.svg"), "w", encoding="utf-8") as f
                       title="time-domain loading", x_label="acquisition",
                       y_label="loading"))
 
-traces = effect_to_time(effect, "group")
-level_means = {"level 0": traces.values[:5].mean(axis=0),
-               "level 1": traces.values[5:].mean(axis=0)}
+# one back-transformed row per level; samples 0-4 are level 0, samples 5-9 level 1
+traces = effect_to_time(effect, "group").values
+level_traces = {"level 0": traces[rows.inverse[0]], "level 1": traces[rows.inverse[5]]}
 with open(os.path.join(out_dir, "effect_time.svg"), "w", encoding="utf-8") as fh:
-    fh.write(emit_svg(level_means, kind="line", title="time-domain effect",
+    fh.write(emit_svg(level_traces, kind="line", title="time-domain effect",
                       x_label="acquisition", y_label="intensity"))
 
 print(f"wrote scores.svg, loading_time.svg, effect_time.svg to {out_dir}/")

@@ -215,7 +215,7 @@ def _emit_term_artifacts(args, out_dir, model, decomp, spec, ids):
     if args.domain == "freq":
         # every sample of a level has its level's row: write and plot the distinct rows
         rows = decomp.distinct_rows(term)
-        levels = effect_to_time(decomp, term).values[rows.first]
+        levels = effect_to_time(decomp, term).values
         level_traces = {lab: levels[rows.inverse[labels.index(lab)]]
                         for lab in sorted(set(labels))}
         _write_pair(out_dir, f"effect_time_{stem}", [f"t{j}" for j in range(levels.shape[1])],
@@ -224,15 +224,24 @@ def _emit_term_artifacts(args, out_dir, model, decomp, spec, ids):
                     y_label="intensity")
 
 
-def _check_out_dir(path):
-    """Raise, creating nothing, the error ``os.makedirs(path, exist_ok=True)``
-    would raise at a file on the path, so that it comes before the work."""
+def _check_dir(path, name=None):
+    """Raise, creating nothing, the error that writing the file ``name`` in
+    the directory ``path`` would raise, or without ``name`` the error
+    ``os.makedirs(path, exist_ok=True)`` would raise at a file on the path,
+    so that it comes before the work."""
     try:
-        os.stat(path)  # under a file this raises NotADirectoryError
+        os.stat(path)
     except FileNotFoundError:
-        return
-    if not os.path.isdir(path):
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
+        if name is None:
+            return
+        code = errno.ENOENT
+    except NotADirectoryError:  # a file on the path
+        code = errno.ENOTDIR
+    else:
+        if os.path.isdir(path):
+            return
+        code = errno.EEXIST if name is None else errno.ENOTDIR
+    raise OSError(code, os.strerror(code), path if name is None else name)
 
 
 def _cmd_analyze(args):
@@ -245,7 +254,10 @@ def _cmd_analyze(args):
     if args.pcmr and args.domain != "time":
         raise ConfigInvalid("--pcmr applies to peak tables and requires --domain time")
     if args.out_dir is not None:
-        _check_out_dir(args.out_dir)
+        _check_dir(args.out_dir)
+    elif args.trim or args.components is not None:
+        flag = "--trim" if args.trim else "--components"
+        raise ConfigInvalid(f"{flag} shapes the artifacts and requires --out-dir")
     data, spec, ids = dataio.load_dataset(args.chromatograms, args.metadata)
     interactions = _parse_interactions(args.interactions, spec)
     if interactions:
@@ -289,7 +301,7 @@ def _cmd_analyze(args):
     if significant:
         fitted = data if mask is None else impute_cell_means(data, mask, dmatrix, warn_empty=False)
         decomp = fit(fitted, dmatrix)
-        models = [sca_fit(decomp.effect(t), decomp.residuals, args.components, term=t,
+        models = [sca_fit(decomp.levels[t], decomp.residuals, args.components, term=t,
                           cap=max(decomp.dof[t], 1), rows=decomp.distinct_rows(t))
                   for t in significant]
 
@@ -346,10 +358,10 @@ def _cmd_simulate(args):
     )
     config.validate()
     # the trials take the run's time, so a prefix in a missing directory fails before them
-    if args.dataset_out and not os.path.isdir(os.path.dirname(args.dataset_out) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
-                                f"{args.dataset_out}_chromatograms.csv")
-    _check_out_dir(args.out_dir)
+    if args.dataset_out:
+        _check_dir(os.path.dirname(args.dataset_out) or ".",
+                   f"{args.dataset_out}_chromatograms.csv")
+    _check_dir(args.out_dir)
     trials = jitter_experiment(config, levels, args.trials,
                                n_permutations=args.permutations, seed=args.seed)
     if args.dataset_out:

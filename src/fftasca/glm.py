@@ -2,7 +2,8 @@
 
 The model is ``X = D @ theta + E`` fitted by least squares through the
 pseudoinverse of the encoded design.  Effect matrices are reconstructed
-per term from that term's coding columns, sums of squares are the real
+per term from that term's coding columns, one row per distinct coding row
+(expanded to all N rows only on request), sums of squares are the real
 traces ``Tr(A A^H)``, and the F-ratio for a term is its mean square over
 the residual mean square.  Significance comes from permuting whole rows of
 the response against the fixed design and counting permuted F-ratios at or
@@ -91,14 +92,17 @@ _CELL_CHUNK_BYTES = 1 << 18
 
 @dataclass(frozen=True)
 class GlmDecomposition:
-    """Fitted model: coefficients, per-term effect matrices and residuals.
+    """Fitted model: coefficients, per-term effect levels and residuals.
 
-    ``term_rows`` maps a term to the :class:`~fftasca.design.DistinctRows`
-    of its effect, as :func:`fit` takes them from the design.
+    ``levels`` maps a term to the U x M distinct rows of its effect, and
+    ``term_rows`` maps it to their :class:`~fftasca.design.DistinctRows`,
+    as :func:`fit` takes them from the design; :meth:`effect` expands them
+    to the N x M effect.  A term without a recorded index counts every row
+    of its ``levels`` entry as distinct.
     """
 
     theta_hat: np.ndarray
-    effects: dict
+    levels: dict
     residuals: np.ndarray
     dof: dict
     residual_dof: int
@@ -106,16 +110,15 @@ class GlmDecomposition:
     term_rows: dict = field(default_factory=dict, repr=False)
 
     def effect(self, term):
-        try:
-            return self.effects[term]
-        except KeyError:
-            raise UnknownTerm(f"no term '{term}' in this fit") from None
+        """The N x M effect of one term, expanded from its levels on each call."""
+        rows = self.distinct_rows(term)
+        return self.levels[term][rows.inverse]
 
     def distinct_rows(self, term):
-        """Distinct-row index of one effect; a term without a recorded
-        index counts every row as distinct."""
-        n = self.effect(term).shape[0]
-        return self.term_rows.get(term) or DistinctRows.all_distinct(n)
+        """Distinct-row index of one term's ``levels``."""
+        if term not in self.levels:
+            raise UnknownTerm(f"no term '{term}' in this fit")
+        return self.term_rows.get(term) or DistinctRows.all_distinct(len(self.levels[term]))
 
 
 def _check_rows(x, dmatrix):
@@ -129,25 +132,25 @@ def fit(x, dmatrix):
     """Least-squares fit of ``x`` (N x M) against an encoded design.
 
     Returns a GlmDecomposition whose parts satisfy the exact identity
-    ``ones*mu + sum(effects) + residuals == x``.
+    ``ones*mu + sum(effects) + residuals == x``, each effect held as its
+    distinct rows.
     """
     x = as_complex_matrix(x)
     _check_rows(x, dmatrix)
     d = dmatrix.matrix
     theta = dmatrix.pinv @ x
-    effects = {}
-    for term in dmatrix.terms:
-        span = dmatrix.column_spans[term]
-        effects[term] = d[:, span] @ theta[span]
-    residuals = x - d @ theta
+    spans, rows = dmatrix.column_spans, dmatrix.distinct_rows
+    levels = {t: d[rows[t].first, spans[t]] @ theta[spans[t]] for t in dmatrix.terms}
+    residuals = d @ theta
+    np.subtract(x, residuals, out=residuals)
     return GlmDecomposition(
         theta_hat=theta,
-        effects=effects,
+        levels=levels,
         residuals=residuals,
         dof={t: dmatrix.dof[t] for t in dmatrix.terms},
         residual_dof=x.shape[0] - dmatrix.rank,
-        grand_mean_row=theta[dmatrix.column_spans[MEAN_TERM]].copy(),
-        term_rows=dmatrix.distinct_rows,
+        grand_mean_row=theta[spans[MEAN_TERM]].copy(),
+        term_rows=rows,
     )
 
 

@@ -17,8 +17,11 @@ N x M one (Smilde et al. 2005; Jansen et al. 2005).  The rank tolerance
 still uses the full N x M shape.  The two factorizations agree in exact
 arithmetic only, so scores and loadings can differ from those of the full
 SVD in the last bits; the components, their order and their phases do not
-change.  A matrix passed without a distinct-row index is taken to have
-no repeated rows, which is the same computation with ``c = 1``.
+change.  With a distinct-row index, :func:`sca_fit` and
+:func:`default_components` take the effect as its U distinct rows ``Phi``,
+which is how :func:`~fftasca.glm.fit` holds it, so the N x M effect is
+never built.  A matrix passed without an index is taken to have no
+repeated rows, which is the same computation with ``c = 1``.
 
 Complex singular vectors are only defined up to a unit phase per component,
 so loadings are canonicalized: if a loading column equals its reversed
@@ -73,10 +76,10 @@ class ScaModel:
 class TimeDomainView:
     """Real part of a back-transform to the time domain.
 
-    ``values`` holds the loadings (M x R) or the effect (N x M) in the time
-    domain.  ``imag_residue`` is the largest imaginary magnitude discarded
-    when taking the real part; for models built from spectra of real
-    signals it is at noise level.
+    ``values`` holds the loadings (M x R) or the effect's distinct rows
+    (U x M) in the time domain.  ``imag_residue`` is the largest imaginary
+    magnitude discarded when taking the real part; for models built from
+    spectra of real signals it is at noise level.
     """
 
     values: np.ndarray
@@ -112,11 +115,25 @@ def _canonical_phase(column):
     return phase
 
 
+def _rows_of(effect, rows):
+    """``rows``, or every row of ``effect`` distinct; ``effect`` must hold
+    one row per distinct row."""
+    if rows is None:
+        return DistinctRows.all_distinct(effect.shape[0])
+    if effect.shape[0] != rows.first.size:
+        raise DimensionMismatch(
+            f"the effect has {effect.shape[0]} rows, not the {rows.first.size} distinct "
+            f"rows of its index")
+    return rows
+
+
 def _level_svd(effect, rows):
-    """SVD of ``diag(sqrt(c)) Phi`` for the distinct rows ``Phi`` of
-    ``effect`` and their counts ``c``, with those square roots."""
+    """SVD of ``diag(sqrt(c)) Phi`` for the distinct rows ``Phi = effect``
+    and their counts ``c``, with those square roots and the rank of the
+    N x M effect."""
     weights = np.sqrt(rows.counts)
-    return svd(effect[rows.first] * weights[:, None]), weights
+    res = svd(effect * weights[:, None])
+    return res, weights, rank_from_singular_values(res.s, (rows.inverse.size, effect.shape[1]))
 
 
 def sca_fit(effect, residuals, n_components=None, term="", cap=None, rows=None):
@@ -126,19 +143,22 @@ def sca_fit(effect, residuals, n_components=None, term="", cap=None, rows=None):
     count :func:`default_components` would pick with the given ``cap``,
     from the same SVD the fit uses.  ``rows`` is the effect's
     :class:`~fftasca.design.DistinctRows`, as
-    ``GlmDecomposition.distinct_rows(term)`` gives it; ``None`` takes
-    every row as distinct.  With zero residuals the projected scores equal
-    the scores exactly.
+    ``GlmDecomposition.distinct_rows(term)`` gives it, and ``effect`` is
+    then the effect's ``rows.first.size`` distinct rows, as
+    ``GlmDecomposition.levels[term]`` holds them; an N x M effect passed
+    with ``rows`` raises :class:`DimensionMismatch`, except for a saturated
+    term (one distinct row per sample), whose rows are taken in the order
+    of ``rows.first``.  ``None`` takes every row of an N x M effect as
+    distinct.  ``residuals`` is N x M.  With zero residuals the projected
+    scores equal the scores exactly.
     """
     effect = as_complex_matrix(effect, "effect")
     residuals = as_complex_matrix(residuals, "residuals")
-    if effect.shape != residuals.shape:
-        raise DimensionMismatch(
-            f"effect {effect.shape} and residuals {residuals.shape} differ"
-        )
     rows = _rows_of(effect, rows)
-    res, weights = _level_svd(effect, rows)
-    rank = rank_from_singular_values(res.s, effect.shape)
+    shape = (rows.inverse.size, effect.shape[1])
+    if residuals.shape != shape:
+        raise DimensionMismatch(f"effect {shape} and residuals {residuals.shape} differ")
+    res, weights, rank = _level_svd(effect, rows)
     if n_components is None:
         n_components = _component_count(res.s, rank, rank if cap is None else cap)
     if n_components < 1:
@@ -166,24 +186,11 @@ def sca_fit(effect, residuals, n_components=None, term="", cap=None, rows=None):
 
 def default_components(effect, cap, rows=None):
     """Smallest component count explaining 95 % of the effect ssq, capped
-    at ``cap`` and at the matrix rank.  ``rows`` is as for
+    at ``cap`` and at the matrix rank.  ``effect`` and ``rows`` are as for
     :func:`sca_fit`."""
     effect = as_complex_matrix(effect, "effect")
-    s = _level_svd(effect, _rows_of(effect, rows))[0].s
-    return _component_count(s, rank_from_singular_values(s, effect.shape), cap)
-
-
-def _rows_of(effect, rows):
-    """``rows``, or every row of ``effect`` distinct; it must index all of
-    the effect's rows."""
-    if rows is None:
-        return DistinctRows.all_distinct(effect.shape[0])
-    if rows.inverse.shape != (effect.shape[0],):
-        raise DimensionMismatch(
-            f"distinct-row index covers {rows.inverse.size} rows, "
-            f"the effect has {effect.shape[0]}"
-        )
-    return rows
+    res, _, rank = _level_svd(effect, _rows_of(effect, rows))
+    return _component_count(res.s, rank, cap)
 
 
 def _component_count(s, rank, cap):
@@ -207,19 +214,20 @@ def loadings_to_time(model):
 
 
 def effect_to_time(decomp, term, include_mean=False):
-    """Inverse-transform one fitted effect matrix back to the time domain.
+    """Inverse-transform the distinct rows of one fitted effect back to the
+    time domain.
 
-    Only the effect's distinct rows are transformed; each sample row is
-    then gathered from them.  With ``include_mean`` the grand-mean row is
-    added to every row first, which places the level traces on the
-    original intensity scale.
+    The view holds one row per distinct row of the effect, in the order of
+    ``decomp.levels[term]``; sample ``i`` has row
+    ``decomp.distinct_rows(term).inverse[i]``.  With ``include_mean`` the
+    grand-mean row is added to every row first, which places the level
+    traces on the original intensity scale.
     """
-    rows = decomp.distinct_rows(term)
-    values = decomp.effect(term)[rows.first]
+    decomp.distinct_rows(term)  # an unknown term raises UnknownTerm
+    values = decomp.levels[term]
     if include_mean:
         values = values + decomp.grand_mean_row
-    time, residue = _real_part(inverse_rows(values))
-    return TimeDomainView(values=time[rows.inverse], imag_residue=residue)
+    return TimeDomainView(*_real_part(inverse_rows(values)))
 
 
 def real_scores(model):

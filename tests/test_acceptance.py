@@ -127,7 +127,7 @@ def test_criterion_04_balanced_partition_both_domains():
             else transform_rows(x.astype(complex))
         dec = fit(data, dm)
         parts = ssq(np.ones((12, 1)) @ dec.grand_mean_row) \
-            + sum(ssq(e) for e in dec.effects.values()) + ssq(dec.residuals)
+            + sum(ssq(dec.effect(t)) for t in dec.levels) + ssq(dec.residuals)
         assert parts == pytest.approx(ssq(data), rel=1e-8)
     report(4, "total ssq partitions into mean + effects + residual in both domains")
 
@@ -286,7 +286,7 @@ def test_criterion_10_sca_identities():
     dm = balanced_2x2x3()
     dec = fit(transform_rows(x.astype(complex)), dm)
     total = np.ones((12, 1)) @ dec.grand_mean_row \
-        + sum(dec.effects.values()) + dec.residuals
+        + sum(dec.effect(t) for t in dec.levels) + dec.residuals
     back = inverse_rows(total)
     assert np.max(np.abs(back.real - x)) < 1e-8
     assert np.max(np.abs(back.imag)) < 1e-8

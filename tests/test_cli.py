@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -298,6 +299,32 @@ class TestAnalyze:
                    "--permutations", "9") == EXIT_OK
         assert seen == [(2, True)]
 
+    def test_fit_holds_no_full_effect_at_the_peak(self, tmp_path):
+        # each effect is kept as its distinct rows and the residuals are built
+        # in place, so the run peaks near the loaded table and its spectra
+        n, m = 60, 4000
+        a, b = np.arange(n) % 3, np.arange(n) // 30
+        x = np.random.default_rng(7).normal(size=(n, m)) + (a + b)[:, None]
+        ids = [f"s{i}" for i in range(n)]
+        chrom, meta, out = tmp_path / "c.csv", tmp_path / "m.csv", tmp_path / "out"
+        dataio.write_chromatograms(chrom, ids, x)
+        meta.write_text("sample,a,b\n" + "".join(
+            f"{s},a{u},b{v}\n" for s, u, v in zip(ids, a, b)), encoding="utf-8")
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert run("analyze", chrom, meta, "--domain", "freq", "--permutations", "19",
+                       "--out-dir", out, "--no-timestamp") == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert (out / "scores_a.csv").exists() and (out / "scores_b.csv").exists()
+        assert peak < 3.5 * n * m * np.dtype(complex).itemsize
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("analyze", tmp_path / "nope.csv", tmp_path / "meta.csv") \
             == EXIT_DATA
@@ -368,6 +395,21 @@ class TestSimulate:
             f"data error: [Errno 2] No such file or directory: '{prefix}_chromatograms.csv'\n")
         assert calls == []
         assert not out.exists() and not prefix.parent.exists()
+
+    def test_dataset_out_under_a_file_fails_before_the_trials(
+            self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("fftasca.cli.jitter_experiment", lambda *a, **k: calls.append(a))
+        out = tmp_path / "sim"
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"")
+        prefix = taken / "demo"
+        assert run("simulate", "--jitter-grid", "0:10:0", "--trials", "1",
+                   "--dataset-out", prefix, "--out-dir", out) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: [Errno 20] Not a directory: '{prefix}_chromatograms.csv'\n")
+        assert calls == []
+        assert not out.exists() and taken.read_bytes() == b""
 
     def test_bad_grid_is_config_error(self, tmp_path):
         assert run("simulate", "--jitter-grid", "50:10:0",
@@ -649,6 +691,12 @@ EXIT_TABLE = [
     ("pcmr outside the time domain, before any file is read", lambda c, m, t: (
         "analyze", t / "absent.csv", t / "absent_meta.csv", "--pcmr", "--domain", "freq"),
      EXIT_CONFIG, "--pcmr applies to peak tables and requires --domain time"),
+    ("trim without an out-dir, before any file is read", lambda c, m, t: (
+        "analyze", t / "absent.csv", t / "absent_meta.csv", "--trim"),
+     EXIT_CONFIG, "--trim shapes the artifacts and requires --out-dir"),
+    ("components without an out-dir, before any file is read", lambda c, m, t: (
+        "analyze", t / "absent.csv", t / "absent_meta.csv", "--components", "2"),
+     EXIT_CONFIG, "--components shapes the artifacts and requires --out-dir"),
     ("self interaction", lambda c, m, t: (
         "analyze", c, m, "--interactions", "group:group", "--permutations", "9"),
      EXIT_CONFIG, "'group:group' pairs a factor with itself"),
@@ -678,6 +726,11 @@ EXIT_TABLE = [
     ("simulate out-dir under a file, before any trial", lambda c, m, t: (
         "simulate", "--trials", "1", "--jitter-grid", "0:10:0", "--permutations", "5",
         "--replicates", "1", "--out-dir", _raw(t, "taken", b"") / "o" / "p"),
+     EXIT_DATA, "Not a directory"),
+    ("simulate dataset prefix under a file, before any trial", lambda c, m, t: (
+        "simulate", "--trials", "1", "--jitter-grid", "0:10:0", "--permutations", "5",
+        "--replicates", "1", "--dataset-out", _raw(t, "taken", b"") / "pre",
+        "--out-dir", t / "s"),
      EXIT_DATA, "Not a directory"),
     ("parse failure", lambda c, m, t: (
         "analyze", _edited(c, t, "bad.csv", lambda s: _second_line_cell(s, "abc")), m),

@@ -55,7 +55,7 @@ class TestFit:
         dec = fit(x, dm)
         assert np.max(np.abs(dec.residuals)) < 1e-10
         expected_effect = dm.columns_for("g") @ theta[1:2]
-        assert np.max(np.abs(dec.effects["g"] - expected_effect)) < 1e-10
+        assert np.max(np.abs(dec.effect("g") - expected_effect)) < 1e-10
 
     def test_cell_means_oracle_balanced_two_level(self):
         rng = np.random.default_rng(1)
@@ -65,7 +65,7 @@ class TestFit:
         grand = x.mean(axis=0)
         for rows in (slice(0, 4), slice(4, 8)):
             cell_effect = x[rows].mean(axis=0) - grand
-            assert np.max(np.abs(dec.effects["g"][rows] - cell_effect)) < 1e-10
+            assert np.max(np.abs(dec.effect("g")[rows] - cell_effect)) < 1e-10
 
     def test_intercept_only(self):
         rng = np.random.default_rng(2)
@@ -81,7 +81,7 @@ class TestFit:
         )
         x = rng.normal(size=(4, 7)).astype(complex)
         dec = fit(x, intercept_only)
-        assert dec.effects == {}
+        assert dec.levels == {}
         assert np.allclose(dec.grand_mean_row[0], x.mean(axis=0), atol=1e-12)
         assert np.allclose(dec.residuals, x - x.mean(axis=0), atol=1e-12)
 
@@ -93,7 +93,7 @@ class TestFit:
         x = rng.normal(size=(7, 9)).astype(complex)
         dec = fit(x, dm)
         total = np.ones((7, 1)) @ dec.grand_mean_row \
-            + sum(dec.effects.values()) + dec.residuals
+            + sum(dec.effect(t) for t in dec.levels) + dec.residuals
         assert np.max(np.abs(total - x)) < 1e-8 * np.max(np.abs(x))
 
     def test_balanced_partition(self):
@@ -102,7 +102,7 @@ class TestFit:
         x = rng.normal(size=(12, 20)).astype(complex)
         dec = fit(x, dm)
         parts = ssq(np.ones((12, 1)) @ dec.grand_mean_row) \
-            + sum(ssq(e) for e in dec.effects.values()) + ssq(dec.residuals)
+            + sum(ssq(dec.effect(t)) for t in dec.levels) + ssq(dec.residuals)
         assert parts == pytest.approx(ssq(x), rel=1e-8)
 
     def test_row_mismatch(self):
@@ -192,7 +192,7 @@ def manual_decomposition(effect_ssq, nu1, resid_ssq, nu2):
     resid[0, 0] = math.sqrt(resid_ssq)
     return GlmDecomposition(
         theta_hat=np.zeros((1, 1), dtype=complex),
-        effects={"g": effect},
+        levels={"g": effect},
         residuals=resid,
         dof={"g": nu1},
         residual_dof=nu2,
@@ -222,10 +222,10 @@ class TestFRatio:
         with pytest.raises(ZeroResidual):
             f_ratio(fit(x, dm), "g")
 
-    @pytest.mark.parametrize("field", ["effects", "residuals"])
+    @pytest.mark.parametrize("field", ["levels", "residuals"])
     def test_sum_that_overflows_is_refused(self, field):
         big = np.full((2, 2), 1e200, dtype=complex)
-        value = {"g": big} if field == "effects" else big
+        value = {"g": big} if field == "levels" else big
         dec = dataclasses.replace(manual_decomposition(1.0, 1, 1.0, 1), **{field: value})
         with pytest.raises(NonFiniteResult, match="sum of squares overflows"):
             f_ratio(dec, "g")
@@ -625,7 +625,42 @@ def random_designs(draw):
         return encode(DesignSpec(factors=tuple(factors), interactions=interactions)), x
 
 
+@st.composite
+def balanced_designs(draw):
+    """(encoded design, data): a balanced cross of one or two factors,
+    optionally with their interaction, real or complex data."""
+    la, lb, reps = draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = [(i, j) for i in range(la) for j in range(lb) for _ in range(reps)]
+    factors = [Factor.from_labels("a", [i for i, _ in cells])]
+    interactions = ()
+    if lb > 1:
+        factors.append(Factor.from_labels("b", [j for _, j in cells]))
+        interactions = ((0, 1),) if draw(st.booleans()) else ()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(len(cells), draw(st.integers(1, 5))))
+    if draw(st.booleans()):
+        x = x + 1j * rng.normal(size=x.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return encode(DesignSpec(factors=tuple(factors), interactions=interactions)), x
+
+
 class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.one_of(balanced_designs(), random_designs()))
+    def test_effects_are_the_term_columns_times_their_coefficients(self, case):
+        dm, x = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            dec = fit(x, dm)
+        for t in dm.terms:
+            span = dm.column_spans[t]
+            want = dm.matrix[:, span] @ dec.theta_hat[span]
+            rows = dec.distinct_rows(t)
+            assert np.array_equal(dec.effect(t), want)
+            assert np.array_equal(dec.levels[t], want[rows.first])
+            assert np.array_equal(rows.first, dm.distinct_rows[t].first)
+
     @settings(max_examples=60, deadline=None)
     @given(case=random_designs())
     def test_fit_parts_add_up_to_the_data(self, case):
@@ -634,7 +669,7 @@ class TestProperties:
             warnings.simplefilter("ignore")
             dec = fit(x, dm)
         parts = np.ones((x.shape[0], 1)) @ dec.grand_mean_row + dec.residuals
-        parts = parts + sum(dec.effects.values())
+        parts = parts + sum(dec.effect(t) for t in dec.levels)
         assert np.allclose(parts, x, rtol=0, atol=1e-12 * (1.0 + np.max(np.abs(x))))
 
     @settings(max_examples=60, deadline=None)
@@ -648,7 +683,7 @@ class TestProperties:
             dec = fit(x.real.astype(complex), dm)
         assert not dm.pinv.imag.any()
         assert not dec.residuals.imag.any()
-        assert not any(e.imag.any() for e in dec.effects.values())
+        assert not any(dec.effect(t).imag.any() for t in dec.levels)
         assert not dec.grand_mean_row.imag.any()
 
     @settings(max_examples=40, deadline=None)

@@ -215,9 +215,9 @@ class TestEffectToTime:
     def test_two_level_noiseless_ground_truth(self):
         x, dm, eff = two_level_dataset(noise=0.0, seed=15)
         dec = fit(transform_rows(x.astype(complex)), dm)
-        view = effect_to_time(dec, "g")
-        low = view.values[:4].mean(axis=0)
-        high = view.values[4:].mean(axis=0)
+        values = effect_to_time(dec, "g").values[dec.distinct_rows("g").inverse]
+        low = values[:4].mean(axis=0)
+        high = values[4:].mean(axis=0)
         assert np.max(np.abs((high - low) - eff)) < 1e-8 * max(np.max(eff), 1.0)
 
     def test_null_effect_gives_flat_zero(self):
@@ -246,7 +246,7 @@ class TestEffectToTime:
         x, dm, _ = two_level_dataset(noise=0.0, seed=17)
         dec = fit(transform_rows(x.astype(complex)), dm)
         view = effect_to_time(dec, "g", include_mean=True)
-        recon_mean = view.values.mean(axis=0)
+        recon_mean = view.values[dec.distinct_rows("g").inverse].mean(axis=0)
         assert np.max(np.abs(recon_mean - x.mean(axis=0))) < 1e-8
 
     def test_unknown_term(self):
@@ -284,7 +284,7 @@ class TestFullPipelineIdentity:
         spec = transform_rows(x.astype(complex))
         dec = fit(spec, dm)
         total = np.ones((12, 1)) @ dec.grand_mean_row \
-            + sum(dec.effects.values()) + dec.residuals
+            + sum(dec.effect(t) for t in dec.levels) + dec.residuals
         back = inverse_rows(total)
         assert np.max(np.abs(back.real - x)) < 1e-8
         assert np.max(np.abs(back.imag)) < 1e-8
@@ -346,11 +346,14 @@ class TestLevelSpace:
             decomp = fit(x, dm)
         for term in dm.terms:
             effect, rows = decomp.effect(term), decomp.distinct_rows(term)
+            levels = decomp.levels[term]
             assert np.array_equal(effect, effect[rows.first][rows.inverse])
+            assert np.array_equal(levels, effect[rows.first])
 
             view = effect_to_time(decomp, term, include_mean=include_mean)
             want, residue = full_effect_to_time(decomp, term, include_mean)
-            assert np.array_equal(view.values, want)
+            assert view.values.shape == levels.shape
+            assert np.array_equal(view.values[rows.inverse], want)
             assert view.imag_residue == residue
 
             cap = dm.dof[term]
@@ -359,16 +362,16 @@ class TestLevelSpace:
                     effect, decomp.residuals, cap=cap)
             except RankExceeded:
                 with pytest.raises(RankExceeded):
-                    sca_fit(effect, decomp.residuals, cap=cap, rows=rows)
+                    sca_fit(levels, decomp.residuals, cap=cap, rows=rows)
                 continue
             k = loadings.shape[1]
             # singular vectors are defined only where the singular values
             # are apart; the last kept one must also clear the next
             s = np.linalg.svd(effect, compute_uv=False)
             assume(np.all(s[:k] - np.append(s[1:], 0.0)[:k] > 1e-6 * s[0]))
-            model = sca_fit(effect, decomp.residuals, cap=cap, rows=rows)
+            model = sca_fit(levels, decomp.residuals, cap=cap, rows=rows)
             assert model.n_components == k
-            assert default_components(effect, cap, rows=rows) == k
+            assert default_components(levels, cap, rows=rows) == k
             scale = s[0] + np.max(np.abs(decomp.residuals))
             assert np.allclose(model.explained_ssq, explained, rtol=0, atol=1e-12 * s[0] ** 2)
             assert np.allclose(model.loadings, loadings, rtol=0, atol=1e-8)
@@ -390,7 +393,7 @@ class TestLevelSpace:
     def test_scores_repeat_within_a_level(self):
         x, dm, _ = two_level_dataset(noise=0.05, seed=22)
         dec = fit(transform_rows(x.astype(complex)), dm)
-        model = sca_fit(dec.effect("g"), dec.residuals, 1, rows=dec.distinct_rows("g"))
+        model = sca_fit(dec.levels["g"], dec.residuals, 1, rows=dec.distinct_rows("g"))
         assert np.all(model.scores[:4] == model.scores[0])
         assert np.all(model.scores[4:] == model.scores[4])
 
@@ -399,3 +402,33 @@ class TestLevelSpace:
         dec = fit(x.astype(complex), dm)
         with pytest.raises(DimensionMismatch):
             sca_fit(dec.effect("g"), dec.residuals, 1, rows=DistinctRows.all_distinct(5))
+        # levels that fit the index, which covers 5 samples, not the 8 residual rows
+        five = DistinctRows.of(np.array([[0], [0], [1], [1], [1]]))
+        with pytest.raises(DimensionMismatch, match="differ"):
+            sca_fit(dec.levels["g"], dec.residuals, 1, rows=five)
+
+    def test_full_effect_with_an_index_is_refused(self):
+        x, dm, _ = two_level_dataset(seed=24)
+        dec = fit(transform_rows(x.astype(complex)), dm)
+        rows = dec.distinct_rows("g")
+        with pytest.raises(DimensionMismatch, match="distinct rows"):
+            sca_fit(dec.effect("g"), dec.residuals, 1, rows=rows)
+        with pytest.raises(DimensionMismatch, match="distinct rows"):
+            default_components(dec.effect("g"), 1, rows=rows)
+
+    def test_saturated_term_takes_its_rows_in_index_order(self):
+        # one sample per level: U = N, so the level rows are the effect's
+        # rows in the order of rows.first, and the fit matches the full SVD
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=(4, 16)) + 1j * rng.normal(size=(4, 16))
+        dm = encode(DesignSpec(factors=(Factor.from_labels("g", [2, 0, 3, 1]),)))
+        dec = fit(x, dm)
+        rows = dec.distinct_rows("g")
+        assert rows.first.size == 4 and not np.array_equal(rows.first, np.arange(4))
+        effect = dec.effect("g")
+        residuals = 1e-3 * (rng.normal(size=(4, 16)) + 1j * rng.normal(size=(4, 16)))
+        model = sca_fit(dec.levels["g"], residuals, 2, rows=rows)
+        scores, projected, loadings, _ = full_sca_fit(effect, residuals, 2)
+        assert np.allclose(model.loadings, loadings, rtol=0, atol=1e-8)
+        assert np.allclose(model.scores, scores, rtol=0, atol=1e-8)
+        assert np.allclose(model.projected_scores, projected, rtol=0, atol=1e-8)
